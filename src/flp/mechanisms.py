@@ -9,14 +9,12 @@ deliberately manipulable negative control used to validate the refuter.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
-from typing import Callable
+from functools import partial
+from typing import Callable, Sequence
 
 from .errors import InputError, MechanismPreconditionError
-from .model import Instance, Lottery, Solution, exact_div, order_stats
-from .solver import fast_optimal_sum
-
-_HALF = Fraction(1, 2)
+from .model import Coord, Instance, Lottery, Solution, Variant, exact_div, order_stats
+from .solver import optimal_sum_window, require_sum_variant
 
 
 class MechanismId(enum.Enum):
@@ -41,65 +39,70 @@ def is_strategyproof(mech: MechanismId) -> bool:
     return mech is not MechanismId.OPT_SUM_BASELINE
 
 
-def _require_k2(inst: Instance, name: str) -> None:
-    if inst.k != 2:
-        raise MechanismPreconditionError(f"{name} requires k=2, got k={inst.k}")
+Outcomes = tuple[tuple[tuple[int, ...], Coord], ...]
+"""A rule's lottery: (sorted positions, weight) pairs.  Position p is the
+(p+1)-th smallest report; an outcome's probability is weight / denominator."""
+
+RuleOutput = tuple[Coord, Outcomes]
+Rule = Callable[[Sequence[Coord], int, Variant], RuleOutput]
+"""A mechanism written over the sorted reports ``xs``, the facility count k
+and the variant.  It returns the denominator and the outcomes, or raises
+when its precondition fails.  The weights are integers whenever the reports
+are; they sum to the denominator."""
 
 
-def _require_odd(inst: Instance, name: str) -> None:
-    if inst.n % 2 == 0:
+def _require_k2(k: int, name: str) -> None:
+    if k != 2:
+        raise MechanismPreconditionError(f"{name} requires k=2, got k={k}")
+
+
+def _odd_n_median(xs: Sequence[Coord], k: int, name: str) -> int:
+    """Position of the median for rules that need k=2 and odd n >= 3."""
+    _require_k2(k, name)
+    if len(xs) % 2 == 0:
         raise MechanismPreconditionError(
-            f"{name} requires an odd number of agents, got n={inst.n}"
+            f"{name} requires an odd number of agents, got n={len(xs)}"
         )
+    return (len(xs) - 1) // 2
 
 
-def two_medians(inst: Instance) -> Lottery:
+def _two_medians(xs: Sequence[Coord], k: int, variant: Variant) -> RuleOutput:
     """Open both median agents.  Needs k=2 and even n (odd n has one median)."""
-    _require_k2(inst, "two-medians")
-    if inst.n % 2 != 0:
+    _require_k2(k, "two-medians")
+    n = len(xs)
+    if n % 2 != 0:
         raise MechanismPreconditionError(
-            f"two-medians requires an even number of agents, got n={inst.n}"
+            f"two-medians requires an even number of agents, got n={n}"
         )
-    stats = order_stats(inst)
-    return Lottery.point_mass(Solution(frozenset((stats.median_lo, stats.median_hi))))
+    return 1, (((n // 2 - 1, n // 2), 1),)
 
 
-def median_right(inst: Instance) -> Lottery:
+def _median_right(xs: Sequence[Coord], k: int, variant: Variant) -> RuleOutput:
     """Open the low median and its right sorted neighbour.  Needs k=2."""
-    _require_k2(inst, "median-right")
-    stats = order_stats(inst)
-    if stats.r_idx is None:  # unreachable for n >= 2, kept as a guard
-        raise MechanismPreconditionError("median-right: median has no right neighbour")
-    return Lottery.point_mass(Solution(frozenset((stats.median_lo, stats.r_idx))))
+    _require_k2(k, "median-right")
+    m = (len(xs) - 1) // 2
+    return 1, (((m, m + 1), 1),)
 
 
-def median_left(inst: Instance) -> Lottery:
+def _median_left(xs: Sequence[Coord], k: int, variant: Variant) -> RuleOutput:
     """Open the low median and its left sorted neighbour.  Needs k=2 and n >= 3."""
-    _require_k2(inst, "median-left")
-    stats = order_stats(inst)
-    if stats.l_idx is None:
+    _require_k2(k, "median-left")
+    m = (len(xs) - 1) // 2
+    if m == 0:
         raise MechanismPreconditionError(
-            f"median-left requires the median to have a left neighbour, got n={inst.n}"
+            f"median-left requires the median to have a left neighbour, got n={len(xs)}"
         )
-    return Lottery.point_mass(Solution(frozenset((stats.l_idx, stats.median_lo))))
+    return 1, (((m - 1, m), 1),)
 
 
-def uniform_lr(inst: Instance) -> Lottery:
+def _uniform(xs: Sequence[Coord], k: int, variant: Variant) -> RuleOutput:
     """Open {left neighbour, median} or {median, right neighbour}, each with
     probability 1/2.  Needs k=2 and odd n >= 3."""
-    _require_k2(inst, "uniform")
-    _require_odd(inst, "uniform")
-    stats = order_stats(inst)
-    assert stats.l_idx is not None and stats.r_idx is not None
-    return Lottery._trusted(
-        (
-            (Solution(frozenset((stats.l_idx, stats.median_lo))), _HALF),
-            (Solution(frozenset((stats.median_lo, stats.r_idx))), _HALF),
-        )
-    )
+    m = _odd_n_median(xs, k, "uniform")
+    return 2, (((m - 1, m), 1), ((m, m + 1), 1))
 
 
-def reverse_proportional(inst: Instance) -> Lottery:
+def _reverse_proportional(xs: Sequence[Coord], k: int, variant: Variant) -> RuleOutput:
     """Randomise between the two median-adjacent pairs with probabilities
     inversely proportional to their gap from the median.
 
@@ -109,81 +112,94 @@ def reverse_proportional(inst: Instance) -> Lottery:
     likely partner.  If l and r coincide with m, both pairs cost the same
     and the split is 1/2 each.  Needs k=2 and odd n >= 3.
     """
-    _require_k2(inst, "reverse-proportional")
-    _require_odd(inst, "reverse-proportional")
-    stats = order_stats(inst)
-    assert stats.l_idx is not None and stats.r_idx is not None
-    locs = inst.locations
-    m = locs[stats.median_lo]
-    gap_l = abs(m - locs[stats.l_idx])
-    gap_r = abs(locs[stats.r_idx] - m)
-    span = gap_l + gap_r
-    if span == 0:
-        p_left: Fraction = _HALF
-        p_right: Fraction = _HALF
-    else:
-        p_left = exact_div(gap_r, span)
-        p_right = exact_div(gap_l, span)
-    return Lottery._trusted(
-        (
-            (Solution(frozenset((stats.l_idx, stats.median_lo))), p_left),
-            (Solution(frozenset((stats.median_lo, stats.r_idx))), p_right),
-        )
-    )
+    m = _odd_n_median(xs, k, "reverse-proportional")
+    gap_l = xs[m] - xs[m - 1]
+    gap_r = xs[m + 1] - xs[m]
+    if gap_l + gap_r == 0:
+        return _uniform(xs, k, variant)
+    return gap_l + gap_r, (((m - 1, m), gap_r), ((m, m + 1), gap_l))
 
 
-def median_ball(inst: Instance) -> Lottery:
+def _median_ball(xs: Sequence[Coord], k: int, variant: Variant) -> RuleOutput:
     """Open a window of k consecutive sorted agents balanced around the low
     median: (k-1)/2 on each side for odd k, one fewer on the left for even
     k.  At the ends of the line the window shifts inward so it keeps k
     agents; it always still contains the median.  Works for any 2 <= k <= n.
     """
-    stats = order_stats(inst)
-    n, k = inst.n, inst.k
-    if k % 2 == 1:
-        start = stats.median_lo_pos - (k - 1) // 2
-    else:
-        start = stats.median_lo_pos - (k // 2 - 1)
-    start = max(0, min(start, n - k))
-    window = stats.sorted_order[start : start + k]
-    return Lottery.point_mass(Solution(frozenset(window)))
+    n = len(xs)
+    start = max(0, min((n - 1) // 2 - (k - 1) // 2, n - k))
+    return 1, ((tuple(range(start, start + k)), 1),)
 
 
-def auto_sum(inst: Instance) -> Lottery:
+def _auto_sum(xs: Sequence[Coord], k: int, variant: Variant) -> RuleOutput:
     """Parity dispatch for k=2: two-medians on even n (cost-optimal for the
     sum variant), reverse-proportional on odd n."""
-    _require_k2(inst, "auto-sum")
-    if inst.n % 2 == 0:
-        return two_medians(inst)
-    return reverse_proportional(inst)
+    _require_k2(k, "auto-sum")
+    if len(xs) % 2 == 0:
+        return _two_medians(xs, k, variant)
+    return _reverse_proportional(xs, k, variant)
 
 
-def opt_sum_baseline(inst: Instance) -> Lottery:
+def _opt_sum_baseline(xs: Sequence[Coord], k: int, variant: Variant) -> RuleOutput:
     """Point mass on the exact sum-variant optimum.  Cost-perfect but
     manipulable; kept as the refuter's negative control.  Sum variant only."""
-    return Lottery.point_mass(fast_optimal_sum(inst).solution)
+    require_sum_variant(variant)
+    return 1, ((optimal_sum_window(xs, k), 1),)
 
 
-_DISPATCH: dict[MechanismId, Callable[[Instance], Lottery]] = {
-    MechanismId.TWO_MEDIANS: two_medians,
-    MechanismId.MEDIAN_RIGHT: median_right,
-    MechanismId.MEDIAN_LEFT: median_left,
-    MechanismId.UNIFORM: uniform_lr,
-    MechanismId.REVERSE_PROPORTIONAL: reverse_proportional,
-    MechanismId.MEDIAN_BALL: median_ball,
-    MechanismId.AUTO_SUM: auto_sum,
-    MechanismId.OPT_SUM_BASELINE: opt_sum_baseline,
+_RULES: dict[MechanismId, Rule] = {
+    MechanismId.TWO_MEDIANS: _two_medians,
+    MechanismId.MEDIAN_RIGHT: _median_right,
+    MechanismId.MEDIAN_LEFT: _median_left,
+    MechanismId.UNIFORM: _uniform,
+    MechanismId.REVERSE_PROPORTIONAL: _reverse_proportional,
+    MechanismId.MEDIAN_BALL: _median_ball,
+    MechanismId.AUTO_SUM: _auto_sum,
+    MechanismId.OPT_SUM_BASELINE: _opt_sum_baseline,
 }
 
 
-def apply(mech: MechanismId, inst: Instance) -> Lottery:
-    """Run ``mech`` on ``inst``, raising MechanismPreconditionError (or, for
-    the baseline on a max instance, UnsupportedVariantError) when it does
-    not apply."""
+def position_rule(mech: MechanismId | str) -> Rule:
+    """The rule behind ``mech``; accepts the id or its CLI spelling."""
     if not isinstance(mech, MechanismId):
         try:
             mech = MechanismId(mech)
         except ValueError:
             known = ", ".join(m.value for m in MechanismId)
             raise InputError(f"unknown mechanism {mech!r} (known: {known})") from None
-    return _DISPATCH[mech](inst)
+    return _RULES[mech]
+
+
+def apply(mech: MechanismId | str, inst: Instance) -> Lottery:
+    """Run ``mech`` on ``inst``, raising MechanismPreconditionError (or, for
+    the baseline on a max instance, UnsupportedVariantError) when it does
+    not apply.
+
+    The rule sees the reports in stable sorted order, so coincident reports
+    resolve by agent index; its positions map back to agents through
+    :func:`~flp.model.order_stats`.
+    """
+    rule = position_rule(mech)
+    order = order_stats(inst).sorted_order
+    locs = inst.locations
+    den, outcomes = rule([locs[i] for i in order], inst.k, inst.variant)
+    return Lottery._trusted(
+        tuple(
+            (
+                Solution(frozenset(order[p] for p in positions)),
+                1 if weight == den else exact_div(weight, den),
+            )
+            for positions, weight in outcomes
+        )
+    )
+
+
+# One entry point per mechanism; the rule's docstring above says what it opens.
+two_medians = partial(apply, MechanismId.TWO_MEDIANS)
+median_right = partial(apply, MechanismId.MEDIAN_RIGHT)
+median_left = partial(apply, MechanismId.MEDIAN_LEFT)
+uniform_lr = partial(apply, MechanismId.UNIFORM)
+reverse_proportional = partial(apply, MechanismId.REVERSE_PROPORTIONAL)
+median_ball = partial(apply, MechanismId.MEDIAN_BALL)
+auto_sum = partial(apply, MechanismId.AUTO_SUM)
+opt_sum_baseline = partial(apply, MechanismId.OPT_SUM_BASELINE)

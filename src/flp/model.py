@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import InfeasibleError, InputError, InvariantError, ParseError
 
@@ -249,17 +249,19 @@ def distance(a: Coord, b: Coord) -> Coord:
     return abs(a - b)
 
 
-def _cost_from(point: Coord, inst: Instance, sol: Solution) -> Coord:
-    """Cost a single point pays toward ``sol`` under the instance's variant."""
-    locs = inst.locations
-    if inst.variant is Variant.SUM:
+def point_cost(
+    point: Coord, coords: Sequence[Coord], hosts: Iterable[int], variant: Variant
+) -> Coord:
+    """Cost a single point pays toward facilities at ``coords[h]`` for each
+    ``h`` in ``hosts``: the sum (SUM) or the maximum (MAX) of the distances."""
+    if variant is Variant.SUM:
         total: Coord = 0
-        for h in sol.hosts:
-            total += abs(point - locs[h])
+        for h in hosts:
+            total += abs(point - coords[h])
         return total
     worst: Coord = 0
-    for h in sol.hosts:
-        d = abs(point - locs[h])
+    for h in hosts:
+        d = abs(point - coords[h])
         if d > worst:
             worst = d
     return worst
@@ -270,15 +272,16 @@ def agent_cost(inst: Instance, sol: Solution, agent: int) -> Coord:
     of its distances to the open facilities."""
     inst.check_agent(agent)
     check_feasible(inst, sol)
-    return _cost_from(inst.locations[agent], inst, sol)
+    return point_cost(inst.locations[agent], inst.locations, sol.hosts, inst.variant)
 
 
 def social_cost(inst: Instance, sol: Solution) -> Coord:
     """Total cost: sum of every agent's cost toward ``sol``."""
     check_feasible(inst, sol)
+    locs, variant = inst.locations, inst.variant
     total: Coord = 0
-    for loc in inst.locations:
-        total += _cost_from(loc, inst, sol)
+    for loc in locs:
+        total += point_cost(loc, locs, sol.hosts, variant)
     return total
 
 
@@ -303,7 +306,7 @@ def expected_agent_cost(
     total: Coord = 0
     for sol, p in lottery.support:
         check_feasible(inst, sol)
-        total += p * _cost_from(point, inst, sol)
+        total += p * point_cost(point, inst.locations, sol.hosts, inst.variant)
     return total
 
 
@@ -324,8 +327,6 @@ class OrderStats:
     median_hi: int
     l_idx: int | None
     r_idx: int | None
-    median_lo_pos: int
-    median_hi_pos: int
 
 
 def order_stats(inst: Instance) -> OrderStats:
@@ -340,8 +341,6 @@ def order_stats(inst: Instance) -> OrderStats:
         median_hi=order[hi_pos],
         l_idx=order[lo_pos - 1] if lo_pos >= 1 else None,
         r_idx=order[lo_pos + 1] if lo_pos + 1 < n else None,
-        median_lo_pos=lo_pos,
-        median_hi_pos=hi_pos,
     )
 
 

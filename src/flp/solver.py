@@ -13,7 +13,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import EnumerationBudgetError, InputError, UnsupportedVariantError
 from .model import (
@@ -119,44 +119,47 @@ def brute_force_optimal(inst: Instance, budget: int | None = None) -> OptResult:
     return OptResult(Solution(frozenset(best_combo)), best_cost)
 
 
-def fast_optimal_sum(inst: Instance) -> OptResult:
-    """Optimal SUM-variant solution without enumerating all subsets.
-
-    For k = 2: the two medians when n is even; the median plus its nearer
-    neighbour when n is odd (distance ties go left, matching the stable
-    sort order).  For larger k: scan every window of k consecutive sorted
-    agents that covers a median position and keep the cheapest, leftmost
-    window first on ties.
-    """
-    if inst.variant is not Variant.SUM:
+def require_sum_variant(variant: Variant) -> None:
+    """Raise UnsupportedVariantError unless ``variant`` is SUM."""
+    if variant is not Variant.SUM:
         raise UnsupportedVariantError(
             "fast_optimal_sum only handles the sum variant; use "
             "brute_force_optimal for max"
         )
-    stats = order_stats(inst)
-    locs = inst.locations
-    if inst.k == 2:
-        if inst.n % 2 == 0:
-            sol = Solution(frozenset((stats.median_lo, stats.median_hi)))
-        else:
-            m = locs[stats.median_lo]
-            assert stats.l_idx is not None and stats.r_idx is not None
-            if abs(m - locs[stats.l_idx]) <= abs(locs[stats.r_idx] - m):
-                sol = Solution(frozenset((stats.l_idx, stats.median_lo)))
-            else:
-                sol = Solution(frozenset((stats.median_lo, stats.r_idx)))
-        return OptResult(sol, social_cost(inst, sol))
 
-    order = stats.sorted_order
-    n, k = inst.n, inst.k
-    best: OptResult | None = None
-    for start in range(n - k + 1):
-        end = start + k - 1
-        if not (start <= stats.median_lo_pos <= end or start <= stats.median_hi_pos <= end):
-            continue
-        sol = Solution(frozenset(order[start : start + k]))
-        cost = social_cost(inst, sol)
-        if best is None or cost < best.cost:
-            best = OptResult(sol, cost)
-    assert best is not None  # the window around the median always exists
-    return best
+
+def optimal_sum_window(xs: Sequence[Coord], k: int) -> tuple[int, ...]:
+    """Sorted positions of an optimal SUM-variant solution for the sorted
+    reports ``xs``.
+
+    For k = 2: the two medians when n is even; the median plus its nearer
+    neighbour when n is odd (distance ties go left).  For larger k: the
+    cheapest window of k consecutive positions that covers a median
+    position, leftmost window first on ties.
+    """
+    n = len(xs)
+    lo, hi = (n - 1) // 2, n // 2
+    if k == 2:
+        if n % 2 == 0:
+            return (lo, hi)
+        if xs[lo] - xs[lo - 1] <= xs[lo + 1] - xs[lo]:
+            return (lo - 1, lo)
+        return (lo, lo + 1)
+    # min keeps the first of equal keys, i.e. the leftmost window.
+    start = min(
+        range(max(0, lo - k + 1), min(hi, n - k) + 1),
+        key=lambda s: sum(abs(x - xs[p]) for p in range(s, s + k) for x in xs),
+    )
+    return tuple(range(start, start + k))
+
+
+def fast_optimal_sum(inst: Instance) -> OptResult:
+    """Optimal SUM-variant solution without enumerating all subsets: the
+    positions chosen by :func:`optimal_sum_window`, mapped to agents through
+    the stable sort order."""
+    require_sum_variant(inst.variant)
+    order = order_stats(inst).sorted_order
+    locs = inst.locations
+    positions = optimal_sum_window([locs[i] for i in order], inst.k)
+    sol = Solution(frozenset(order[p] for p in positions))
+    return OptResult(sol, social_cost(inst, sol))

@@ -10,6 +10,7 @@ the original instance before being reported.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,19 +22,20 @@ from .errors import (
     UnsupportedVariantError,
 )
 from .generators import Family, GenSpec, generate, perturb
-from .mechanisms import MechanismId, apply
+from .mechanisms import MechanismId, Outcomes, apply, position_rule
 from .model import (
     Coord,
     Instance,
     Side,
     Solution,
     Variant,
-    _cost_from,
+    as_coord,
     exact_div,
     expected_agent_cost,
     expected_social_cost,
     lemma_pair_cost,
     order_stats,
+    point_cost,
     social_cost,
 )
 from .solver import brute_force_optimal
@@ -81,31 +83,44 @@ class RegressionResult:
     details: str
 
 
-def _shared_candidates(inst: Instance, grid_points: int) -> set[Coord]:
-    """Agent-independent candidate sources: midpoints of consecutive distinct
-    sorted coordinates, the two outer points, and the uniform grid."""
+def _scan_scale(inst: Instance, grid_points: int) -> int:
+    """D = lcm(location denominators) * 2 * (grid_points - 1), or without
+    the last factor when there is no grid step: multiplying by D puts every
+    location, midpoint, outer point and grid point on an integer."""
+    lcm_den = math.lcm(*(x.denominator for x in inst.locations))
+    return lcm_den * 2 * max(grid_points - 1, 1)
+
+
+def _div_exact(num: int, den: int) -> int:
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise InvariantError(
+            f"scan scale leaves {num}/{den} fractional; it must clear every "
+            "denominator"
+        )
+    return quotient
+
+
+def _scaled_candidates(
+    inst: Instance, grid_points: int
+) -> tuple[int, tuple[int, ...], set[int]]:
+    """The scan scale D, the locations times D, and the agent-independent
+    candidates times D: midpoints of consecutive distinct sorted coordinates,
+    the two outer points, and the uniform grid."""
     if grid_points < 0:
         raise InputError(f"grid_points must be >= 0, got {grid_points}")
-    cands: set[Coord] = set()
-    distinct = sorted(set(inst.locations))
-    for a, b in zip(distinct, distinct[1:]):
-        cands.add(exact_div(a + b, 2))
+    scale = _scan_scale(inst, grid_points)
+    locs = tuple(_div_exact(x.numerator * scale, x.denominator) for x in inst.locations)
+    distinct = sorted(set(locs))
+    cands = {_div_exact(a + b, 2) for a, b in zip(distinct, distinct[1:])}
     lo, hi = distinct[0], distinct[-1]
-    span = hi - lo
-    if span == 0:
-        span = 1
+    span = hi - lo or scale  # a unit span when all reports coincide
     outer_lo, outer_hi = lo - span, hi + span
-    cands.add(outer_lo)
-    cands.add(outer_hi)
+    cands.update((outer_lo, outer_hi))
     if grid_points >= 2:
-        step = exact_div(outer_hi - outer_lo, grid_points - 1)
-        point: Coord = outer_lo
-        for _ in range(grid_points):
-            cands.add(point)
-            point = point + step
-    elif grid_points == 1:
-        cands.add(outer_lo)
-    return cands
+        step = _div_exact(outer_hi - outer_lo, grid_points - 1)
+        cands.update(range(outer_lo, outer_hi + 1, step))
+    return scale, locs, cands
 
 
 def candidate_misreports(
@@ -120,40 +135,20 @@ def candidate_misreports(
     max + span].  Returned sorted ascending.
     """
     inst.check_agent(agent)
-    cands = _shared_candidates(inst, grid_points)
-    for i, x in enumerate(inst.locations):
-        if i != agent:
-            cands.add(x)
-    return tuple(sorted(_normalise(c) for c in cands))
+    scale, locs, cands = _scaled_candidates(inst, grid_points)
+    cands.update(x for i, x in enumerate(locs) if i != agent)
+    return tuple(as_coord(Fraction(x, scale)) for x in sorted(cands))
 
 
-def _normalise(c: Coord) -> Coord:
-    return int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
-
-
-def _common_scale(inst: Instance, candidates: tuple[Coord, ...]) -> int:
-    scale = 1
-    for x in inst.locations:
-        scale = math.lcm(scale, x.denominator)
-    for x in candidates:
-        scale = math.lcm(scale, x.denominator)
-    return scale
-
-
-def _expected_cost_from(point: Coord, inst: Instance, lottery: object) -> Coord:
-    """Unvalidated expected cost used by the scan's inner loop; the public
-    :func:`~flp.model.expected_agent_cost` is the checked equivalent."""
-    total: Coord = 0
-    for sol, p in lottery.support:  # type: ignore[attr-defined]
-        total += p * _cost_from(point, inst, sol)
+def _weighted_cost(
+    point: int, xs: list[int], outcomes: Outcomes, variant: Variant
+) -> int:
+    """Expected cost of ``point`` under a rule's outcomes on the sorted
+    reports ``xs``, times the rule's denominator."""
+    total = 0
+    for positions, weight in outcomes:
+        total += weight * point_cost(point, xs, positions, variant)
     return total
-
-
-def _scale_coord(x: Coord, scale: int) -> int:
-    scaled = x * scale
-    num = int(scaled)
-    assert scaled == num, "scale must clear every denominator"
-    return num
 
 
 def sp_scan(mech: MechanismId, inst: Instance, grid_points: int = 200) -> SpScan:
@@ -164,45 +159,45 @@ def sp_scan(mech: MechanismId, inst: Instance, grid_points: int = 200) -> SpScan
     where the mechanism's precondition fails are skipped and counted.
 
     Internally, agents share one candidate superset (their own current report
-    is skipped in the loop, so the per-agent difference is immaterial) and the
-    instance plus candidates are rescaled by the least common denominator so
-    the inner loop runs on plain integers (mechanisms commute with positive
-    rescaling).  Any hit is re-verified at original scale before it is
-    reported, so a returned violation is always genuine.
+    is skipped in the loop, so the per-agent difference is immaterial), and
+    the scan runs on integers: locations and candidates are multiplied by
+    the scale of :func:`_scan_scale` (mechanisms commute with positive
+    rescaling).  Each agent's other reports are sorted once; every candidate
+    is inserted into that list and the mechanism's position rule is applied
+    to it directly, and expected costs are compared as cross-multiplied
+    integers.  Any hit is re-verified at original scale through the
+    validated :func:`~flp.mechanisms.apply` path before it is reported, so
+    a returned violation is always genuine.
     """
     apply(mech, inst)  # surface precondition problems on the honest profile
-    n = inst.n
-    cands = _shared_candidates(inst, grid_points)
-    cands.update(inst.locations)
-    superset = tuple(sorted(_normalise(c) for c in cands))
-    scale = _common_scale(inst, superset)
-    if scale == 1:
-        s_inst = inst
-        s_cands = superset
-    else:
-        s_inst = Instance(
-            tuple(_scale_coord(x, scale) for x in inst.locations), inst.k, inst.variant
-        )
-        s_cands = tuple(_scale_coord(x, scale) for x in superset)
-    s_honest = apply(mech, s_inst)
+    rule = position_rule(mech)
+    k, variant = inst.k, inst.variant
+    scale, locs, cands = _scaled_candidates(inst, grid_points)
+    superset = sorted(cands.union(locs))
+    honest_xs = sorted(locs)
+    honest_den, honest = rule(honest_xs, k, variant)
 
     evaluated = 0
     skipped = 0
-    for agent in range(n):
-        true_here = s_inst.locations[agent]
-        honest_cost = _expected_cost_from(true_here, s_inst, s_honest)
-        for x in s_cands:
+    for agent, true_here in enumerate(locs):
+        honest_cost = _weighted_cost(true_here, honest_xs, honest, variant)
+        others = list(honest_xs)
+        others.remove(true_here)
+        for x in superset:
             if x == true_here:
                 continue
-            deviated = s_inst.with_location(agent, x)
+            xs = others.copy()
+            insort(xs, x)
             try:
-                lot = apply(mech, deviated)
+                den, outcomes = rule(xs, k, variant)
             except (MechanismPreconditionError, UnsupportedVariantError):
                 skipped += 1
                 continue
             evaluated += 1
-            if _expected_cost_from(true_here, deviated, lot) < honest_cost:
-                misreport = _normalise(exact_div(x, scale)) if scale != 1 else x
+            if _weighted_cost(true_here, xs, outcomes, variant) * honest_den < (
+                honest_cost * den
+            ):
+                misreport = as_coord(Fraction(x, scale))
                 return SpScan(
                     _certify_violation(mech, inst, agent, misreport), evaluated, skipped
                 )
@@ -252,11 +247,17 @@ def approx_ratio(
     mech_cost = expected_social_cost(inst, lottery)
     opt = brute_force_optimal(inst, budget)
     if opt.cost == 0:
-        assert mech_cost == 0, "positive mechanism cost on a zero-optimum instance"
+        if mech_cost != 0:
+            raise InvariantError(
+                f"positive mechanism cost {mech_cost} on a zero-optimum instance"
+            )
         ratio = Fraction(1)
     else:
         ratio = exact_div(mech_cost, opt.cost)
-    assert ratio >= 1, "mechanism cost below the enumerated optimum"
+    if ratio < 1:
+        raise InvariantError(
+            f"mechanism cost {mech_cost} below the enumerated optimum {opt.cost}"
+        )
     return RatioReport(mech, inst, mech_cost, opt.cost, ratio)
 
 

@@ -7,10 +7,17 @@ candidates, public cost API, no rescaling): both must flag the same first
 violation or both none.
 """
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import flp
 from flp import (
     EnumerationBudgetError,
     Family,
@@ -150,17 +157,17 @@ class TestSpScan:
     def test_deviation_precondition_failures_are_counted(self, monkeypatch):
         import flp.verification as verification
 
-        real_apply = apply
+        real_rule = verification.position_rule(MechanismId.MEDIAN_RIGHT)
 
-        def flaky_apply(mech, inst):
-            # (0, 2, 4) keeps every candidate an integer, so the scan's
-            # internal profile equals the visible one and the sentinel -4
-            # (the outer-left candidate) is reliably hit once per agent.
-            if -4 in inst.locations:
+        def flaky_rule(xs, k, variant):
+            # The scan feeds each deviated profile, sorted and rescaled, to
+            # the rule.  Only the outer-left candidate (-4 on the visible
+            # scale) is negative, so the refusal hits once per agent.
+            if xs[0] < 0:
                 raise MechanismPreconditionError("synthetic refusal")
-            return real_apply(mech, inst)
+            return real_rule(xs, k, variant)
 
-        monkeypatch.setattr(verification, "apply", flaky_apply)
+        monkeypatch.setattr(verification, "position_rule", lambda mech: flaky_rule)
         scan = sp_scan(MechanismId.MEDIAN_RIGHT, sum_inst(0, 2, 4), grid_points=0)
         assert scan.violation is None
         assert scan.skipped == 3  # one refused candidate per agent
@@ -172,8 +179,14 @@ class TestSpScan:
 
 
 def naive_first_violation(mech, inst, grid_points):
-    """Reference scanner: per-agent candidates, public API, no rescaling."""
+    """Reference scanner: per-agent candidates, public API, no rescaling.
+
+    Returns the first profitable deviation as (agent, misreport, honest
+    cost, deviated cost), or None, together with the number of deviations
+    cost-compared up to and including it.
+    """
     honest = apply(mech, inst)
+    evaluated = 0
     for agent in range(inst.n):
         true_loc = inst.locations[agent]
         honest_cost = expected_agent_cost(inst, honest, agent, true_loc)
@@ -185,43 +198,103 @@ def naive_first_violation(mech, inst, grid_points):
                 lot = apply(mech, dev)
             except (MechanismPreconditionError, UnsupportedVariantError):
                 continue
-            if expected_agent_cost(dev, lot, agent, true_loc) < honest_cost:
-                return agent, x
-    return None
+            evaluated += 1
+            deviated_cost = expected_agent_cost(dev, lot, agent, true_loc)
+            if deviated_cost < honest_cost:
+                return (agent, x, honest_cost, deviated_cost), evaluated
+    return None, evaluated
 
 
 class TestScannerMatchesReference:
+    # Every mechanism under every variant it accepts, each on all four
+    # families; the baseline also at k=3, where it scans median windows.
     CASES = [
+        (MechanismId.TWO_MEDIANS, Variant.SUM, 4, 2),
+        (MechanismId.TWO_MEDIANS, Variant.MAX, 4, 2),
         (MechanismId.MEDIAN_RIGHT, Variant.SUM, 3, 2),
-        (MechanismId.REVERSE_PROPORTIONAL, Variant.SUM, 3, 2),
+        (MechanismId.MEDIAN_RIGHT, Variant.MAX, 4, 2),
+        (MechanismId.MEDIAN_LEFT, Variant.SUM, 4, 2),
+        (MechanismId.MEDIAN_LEFT, Variant.MAX, 3, 2),
+        (MechanismId.UNIFORM, Variant.SUM, 3, 2),
         (MechanismId.UNIFORM, Variant.MAX, 5, 2),
+        (MechanismId.REVERSE_PROPORTIONAL, Variant.SUM, 3, 2),
+        (MechanismId.REVERSE_PROPORTIONAL, Variant.MAX, 5, 2),
+        (MechanismId.MEDIAN_BALL, Variant.SUM, 5, 3),
         (MechanismId.MEDIAN_BALL, Variant.MAX, 5, 3),
+        (MechanismId.AUTO_SUM, Variant.SUM, 3, 2),
+        (MechanismId.AUTO_SUM, Variant.MAX, 4, 2),
         (MechanismId.OPT_SUM_BASELINE, Variant.SUM, 3, 2),
         (MechanismId.OPT_SUM_BASELINE, Variant.SUM, 4, 2),
+        (MechanismId.OPT_SUM_BASELINE, Variant.SUM, 5, 3),
     ]
 
     @pytest.mark.parametrize("mech,variant,n,k", CASES, ids=lambda c: str(c))
     def test_same_outcome_as_reference(self, mech, variant, n, k):
-        # uniform-grid coordinates have denominators up to 4, so the scan's
-        # integer-rescaling path is genuinely exercised.
-        spec = GenSpec(
-            Family.UNIFORM_GRID,
-            n=n,
-            k=k,
-            variant=variant,
-            seed=17,
-            lo=0,
-            hi=4,
-            denominator=4,
-        )
-        for inst in generate(spec, 8):
-            scan = sp_scan(mech, inst, grid_points=40)
-            reference = naive_first_violation(mech, inst, grid_points=40)
-            if reference is None:
-                assert scan.violation is None
-            else:
-                assert scan.violation is not None
-                assert (scan.violation.agent, scan.violation.misreport) == reference
+        for family in Family:
+            spec = GenSpec(
+                family, n=n, k=k, variant=variant, seed=17, lo=0, hi=4, denominator=4
+            )
+            for inst in generate(spec, 3):
+                # Thirds give every family denominators > 1, so the scan's
+                # integer rescaling is genuinely exercised.
+                inst = Instance(tuple(F(x, 3) for x in inst.locations), k, variant)
+                scan = sp_scan(mech, inst, grid_points=40)
+                v = scan.violation
+                got = (
+                    None
+                    if v is None
+                    else (v.agent, v.misreport, v.honest_cost, v.deviated_cost)
+                )
+                want, evaluated = naive_first_violation(mech, inst, grid_points=40)
+                assert (got, scan.evaluated, scan.skipped) == (want, evaluated, 0)
+
+
+def test_invariant_checks_survive_python_optimize():
+    # Under -O every assert is stripped; these checks must raise regardless.
+    script = textwrap.dedent(
+        """
+        import json
+        from fractions import Fraction
+        import flp.verification as v
+        from flp import Instance, InvariantError, MechanismId, OptResult, Solution
+        from flp import Variant
+
+        def fires(call):
+            try:
+                call()
+            except InvariantError:
+                return True
+            return False
+
+        mech = MechanismId.MEDIAN_RIGHT
+        thirds = Instance((0, Fraction(1, 3), 1), 2, Variant.SUM)
+        real_scale = v._scan_scale
+        v._scan_scale = lambda inst, grid_points: 1
+        scale = fires(lambda: v.sp_scan(mech, thirds))
+        v._scan_scale = real_scale
+
+        inst = Instance((0, 1, 3), 2, Variant.SUM)  # median-right costs 9
+        def optimum(cost):
+            return lambda inst, budget=None: OptResult(Solution.of(0, 1), cost)
+        v.brute_force_optimal = optimum(0)
+        zero_optimum = fires(lambda: v.approx_ratio(mech, inst))
+        v.brute_force_optimal = optimum(10)
+        ratio = fires(lambda: v.approx_ratio(mech, inst))
+        print(json.dumps([__debug__, scale, zero_optimum, ratio]))
+        """
+    )
+    src = str(Path(flp.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, True, True, True]
 
 
 class TestApproxRatio:
