@@ -7,7 +7,7 @@ declared approximation bounds, a strategyproofness refuter, seeded instance
 generators, and a CLI (``flp``).
 """
 
-from .bounds import RP_BOUND, declared_bound
+from .bounds import RP_BOUND, declared_bound, is_strategyproof
 from .errors import (
     EnumerationBudgetError,
     FlpError,
@@ -26,34 +26,18 @@ from .fileio import (
     load_instance,
 )
 from .generators import Family, GenSpec, generate, perturb
-from .mechanisms import (
-    MechanismId,
-    apply,
-    auto_sum,
-    is_strategyproof,
-    median_ball,
-    median_left,
-    median_right,
-    opt_sum_baseline,
-    reverse_proportional,
-    two_medians,
-    uniform_lr,
-)
+from .mechanisms import MechanismId, apply
 from .model import (
     Coord,
     Instance,
     Lottery,
-    OrderStats,
-    Side,
     Solution,
     Variant,
     agent_cost,
     as_coord,
     coord_str,
-    distance,
     expected_agent_cost,
     expected_social_cost,
-    lemma_pair_cost,
     order_stats,
     social_cost,
 )
@@ -61,7 +45,6 @@ from .solver import (
     DEFAULT_BUDGET,
     OptResult,
     brute_force_optimal,
-    enumerate_solutions,
     enumeration_budget,
     fast_optimal_sum,
 )
@@ -73,9 +56,7 @@ from .verification import (
     SpViolation,
     approx_ratio,
     candidate_misreports,
-    lemma_pair_cost_consistent,
     run_regressions,
-    sp_refute,
     sp_scan,
     worst_ratio_search,
 )
@@ -97,13 +78,11 @@ __all__ = [
     "MechanismId",
     "MechanismPreconditionError",
     "OptResult",
-    "OrderStats",
     "ParseError",
     "REGRESSION_NAMES",
     "RP_BOUND",
     "RatioReport",
     "RegressionResult",
-    "Side",
     "Solution",
     "SpScan",
     "SpViolation",
@@ -113,14 +92,11 @@ __all__ = [
     "apply",
     "approx_ratio",
     "as_coord",
-    "auto_sum",
     "brute_force_optimal",
     "candidate_misreports",
     "coord_str",
     "declared_bound",
-    "distance",
     "dump_instance",
-    "enumerate_solutions",
     "enumeration_budget",
     "expected_agent_cost",
     "expected_social_cost",
@@ -130,21 +106,11 @@ __all__ = [
     "instance_from_dict",
     "instance_to_dict",
     "is_strategyproof",
-    "lemma_pair_cost",
-    "lemma_pair_cost_consistent",
     "load_instance",
-    "median_ball",
-    "median_left",
-    "median_right",
-    "opt_sum_baseline",
     "order_stats",
     "perturb",
-    "reverse_proportional",
     "run_regressions",
     "social_cost",
-    "sp_refute",
     "sp_scan",
-    "two_medians",
-    "uniform_lr",
     "worst_ratio_search",
 ]

@@ -1,8 +1,10 @@
-"""Declared worst-case approximation bounds, consulted by ratio sweeps.
+"""Declared worst-case approximation bounds and strategyproofness claims.
 
 Each entry gives the guaranteed ceiling on expected-social-cost / optimum for
 a (mechanism, variant) pair as an exact function of n and k, or None when no
 guarantee is claimed (sweeping such a pair never trips the bound check).
+The same rows, minus the optimal-cost baseline, are the pairs claimed to be
+strategyproof.
 
 The reverse-proportional guarantee is an irrational constant; comparisons use
 :data:`RP_BOUND`, a fixed rational over-approximation accurate to 12 digits,
@@ -87,3 +89,18 @@ def declared_bound(
     mechanism makes no claim for this variant (or this parity of n)."""
     fn = BOUND_TABLE.get((mech, variant))
     return None if fn is None else fn(n, k)
+
+
+def is_strategyproof(mech: MechanismId, variant: Variant | None = None) -> bool:
+    """Whether ``mech`` is claimed strategyproof (in expectation) under
+    ``variant``, or under some variant when ``variant`` is omitted.
+
+    The claim covers exactly the pairs with a :data:`BOUND_TABLE` row, except
+    the optimal-cost baseline, which is deliberately manipulable so that the
+    manipulation search has a known-positive target.
+    """
+    if mech is MechanismId.OPT_SUM_BASELINE:
+        return False
+    if variant is None:
+        return any(m is mech for m, _ in BOUND_TABLE)
+    return (mech, variant) in BOUND_TABLE

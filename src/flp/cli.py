@@ -20,7 +20,7 @@ import enum
 import sys
 from typing import Any
 
-from .bounds import declared_bound
+from .bounds import declared_bound, is_strategyproof
 from .errors import (
     FlpError,
     InfeasibleError,
@@ -39,8 +39,8 @@ from .fileio import (
     write_sweep_csv,
 )
 from .generators import Family, GenSpec, generate
-from .mechanisms import MechanismId, apply, is_strategyproof
-from .model import Instance, Variant, coord_str
+from .mechanisms import MechanismId, apply
+from .model import Coord, Instance, Variant, coord_str
 from .solver import brute_force_optimal, fast_optimal_sum
 from .verification import approx_ratio, run_regressions, sp_scan, worst_ratio_search
 
@@ -67,6 +67,15 @@ def _emit(record: dict[str, Any], out_path: str | None) -> None:
             write_record(record, fp)
 
 
+def _duals(**values: Coord) -> dict[str, Any]:
+    """Each value twice, in argument order: the exact string under its own
+    key and the 15-digit decimal under ``<key>_float``."""
+    fields: dict[str, Any] = {}
+    for key, value in values.items():
+        fields[key], fields[f"{key}_float"] = dual(value)
+    return fields
+
+
 def _instance_header(inst: Instance) -> dict[str, Any]:
     return {
         "instance_digest": instance_digest(inst),
@@ -80,15 +89,13 @@ def _instance_header(inst: Instance) -> dict[str, Any]:
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     opt = brute_force_optimal(inst)
-    cost_str, cost_float = dual(opt.cost)
     record = _base_record("solve")
     record.update(_instance_header(inst))
     record.update(
         {
             "optimal_agents": list(opt.solution.sorted_hosts()),
             "optimal_coordinates": [coord_str(c) for c in opt.solution.coords(inst)],
-            "optimal_cost": cost_str,
-            "optimal_cost_float": cost_float,
+            **_duals(optimal_cost=opt.cost),
         }
     )
     if inst.variant is Variant.SUM:
@@ -111,22 +118,18 @@ def cmd_mech(args: argparse.Namespace) -> int:
     mech = MechanismId(args.mech)
     lottery = apply(mech, inst)
     report = approx_ratio(mech, inst)
-    mech_cost = dual(report.mech_cost)
-    opt_cost = dual(report.opt_cost)
-    ratio = dual(report.ratio)
     record = _base_record("mech")
     record["mechanism"] = mech.value
-    record["strategyproof_by_design"] = is_strategyproof(mech)
+    record["strategyproof_by_design"] = is_strategyproof(mech, inst.variant)
     record.update(_instance_header(inst))
     record.update(
         {
             "lottery": lottery_to_list(inst, lottery),
-            "expected_social_cost": mech_cost[0],
-            "expected_social_cost_float": mech_cost[1],
-            "optimal_cost": opt_cost[0],
-            "optimal_cost_float": opt_cost[1],
-            "ratio": ratio[0],
-            "ratio_float": ratio[1],
+            **_duals(
+                expected_social_cost=report.mech_cost,
+                optimal_cost=report.opt_cost,
+                ratio=report.ratio,
+            ),
         }
     )
     _emit(record, args.out)
@@ -158,18 +161,13 @@ def cmd_verify_sp(args: argparse.Namespace) -> int:
         skipped += scan.skipped
         if scan.violation is not None:
             v = scan.violation
-            honest = dual(v.honest_cost)
-            deviated = dual(v.deviated_cost)
             violation = {
                 "seed_index": idx,
                 **_instance_header(inst),
                 "agent": v.agent,
                 "true_location": coord_str(v.true_location),
                 "misreport": coord_str(v.misreport),
-                "honest_cost": honest[0],
-                "honest_cost_float": honest[1],
-                "deviated_cost": deviated[0],
-                "deviated_cost_float": deviated[1],
+                **_duals(honest_cost=v.honest_cost, deviated_cost=v.deviated_cost),
             }
             break
     record = _base_record("verify-sp")
@@ -250,9 +248,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         seed=args.seed,
         perturb_rounds=args.rounds,
     )
-    mech_cost = dual(report.mech_cost)
-    opt_cost = dual(report.opt_cost)
-    ratio = dual(report.ratio)
     record = _base_record("search")
     record["mechanism"] = mech.value
     record.update(_instance_header(report.instance))
@@ -261,12 +256,11 @@ def cmd_search(args: argparse.Namespace) -> int:
             "trials": args.trials,
             "seed": args.seed,
             "rounds": args.rounds,
-            "mech_cost": mech_cost[0],
-            "mech_cost_float": mech_cost[1],
-            "opt_cost": opt_cost[0],
-            "opt_cost_float": opt_cost[1],
-            "ratio": ratio[0],
-            "ratio_float": ratio[1],
+            **_duals(
+                mech_cost=report.mech_cost,
+                opt_cost=report.opt_cost,
+                ratio=report.ratio,
+            ),
         }
     )
     _emit(record, args.out)

@@ -9,7 +9,6 @@ deliberately manipulable negative control used to validate the refuter.
 from __future__ import annotations
 
 import enum
-from functools import partial
 from typing import Callable, Sequence
 
 from .errors import InputError, MechanismPreconditionError
@@ -28,15 +27,6 @@ class MechanismId(enum.Enum):
     MEDIAN_BALL = "median-ball"
     AUTO_SUM = "auto-sum"
     OPT_SUM_BASELINE = "opt-sum-baseline"
-
-
-def is_strategyproof(mech: MechanismId) -> bool:
-    """Whether the mechanism is designed to be strategyproof (in expectation).
-
-    The optimal-cost baseline intentionally is not; it exists so the
-    manipulation search has a known-positive target.
-    """
-    return mech is not MechanismId.OPT_SUM_BASELINE
 
 
 Outcomes = tuple[tuple[tuple[int, ...], Coord], ...]
@@ -180,7 +170,7 @@ def apply(mech: MechanismId | str, inst: Instance) -> Lottery:
     :func:`~flp.model.order_stats`.
     """
     rule = position_rule(mech)
-    order = order_stats(inst).sorted_order
+    order = order_stats(inst)
     locs = inst.locations
     den, outcomes = rule([locs[i] for i in order], inst.k, inst.variant)
     return Lottery._trusted(
@@ -193,13 +183,3 @@ def apply(mech: MechanismId | str, inst: Instance) -> Lottery:
         )
     )
 
-
-# One entry point per mechanism; the rule's docstring above says what it opens.
-two_medians = partial(apply, MechanismId.TWO_MEDIANS)
-median_right = partial(apply, MechanismId.MEDIAN_RIGHT)
-median_left = partial(apply, MechanismId.MEDIAN_LEFT)
-uniform_lr = partial(apply, MechanismId.UNIFORM)
-reverse_proportional = partial(apply, MechanismId.REVERSE_PROPORTIONAL)
-median_ball = partial(apply, MechanismId.MEDIAN_BALL)
-auto_sum = partial(apply, MechanismId.AUTO_SUM)
-opt_sum_baseline = partial(apply, MechanismId.OPT_SUM_BASELINE)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import InfeasibleError, InputError, InvariantError, ParseError
 
@@ -28,13 +28,6 @@ class Variant(enum.Enum):
 
     SUM = "sum"
     MAX = "max"
-
-
-class Side(enum.Enum):
-    """Selects the left or right neighbour of the low median."""
-
-    LEFT = "left"
-    RIGHT = "right"
 
 
 def as_coord(value: object) -> Coord:
@@ -237,17 +230,6 @@ class Lottery:
         object.__setattr__(obj, "support", kept)
         return obj
 
-    def is_degenerate(self) -> bool:
-        return len(self.support) == 1
-
-    def outcomes(self) -> Iterator[tuple[Solution, Prob]]:
-        return iter(self.support)
-
-
-def distance(a: Coord, b: Coord) -> Coord:
-    """|a - b|, exact."""
-    return abs(a - b)
-
 
 def point_cost(
     point: Coord, coords: Sequence[Coord], hosts: Iterable[int], variant: Variant
@@ -310,60 +292,8 @@ def expected_agent_cost(
     return total
 
 
-@dataclass(frozen=True, slots=True)
-class OrderStats:
-    """Sorted view of an instance: stable order plus median bookkeeping.
-
-    ``sorted_order`` lists agent indices sorted by (coordinate, agent index);
-    Python's stable sort realises exactly that tie-break.  ``median_lo`` is
-    the agent at 1-based sorted position ceil(n/2) for odd n and n/2 for even
-    n; ``median_hi`` equals it for odd n and sits one position right for even
-    n.  ``l_idx``/``r_idx`` are the sorted neighbours of ``median_lo`` when
-    they exist.
-    """
-
-    sorted_order: tuple[int, ...]
-    median_lo: int
-    median_hi: int
-    l_idx: int | None
-    r_idx: int | None
-
-
-def order_stats(inst: Instance) -> OrderStats:
+def order_stats(inst: Instance) -> tuple[int, ...]:
+    """Agent indices sorted by (coordinate, agent index); Python's stable sort
+    realises exactly that tie-break."""
     locs = inst.locations
-    n = len(locs)
-    order = tuple(sorted(range(n), key=locs.__getitem__))
-    lo_pos = (n - 1) // 2
-    hi_pos = n // 2
-    return OrderStats(
-        sorted_order=order,
-        median_lo=order[lo_pos],
-        median_hi=order[hi_pos],
-        l_idx=order[lo_pos - 1] if lo_pos >= 1 else None,
-        r_idx=order[lo_pos + 1] if lo_pos + 1 < n else None,
-    )
-
-
-def lemma_pair_cost(inst: Instance, side: Side) -> Coord:
-    """Closed form 2 * sum_i d(i, m) + d(m, x) for the pair {median, neighbour}.
-
-    Here m is the median agent of an odd-n instance and x its left or right
-    sorted neighbour per ``side``.  For the SUM variant this equals
-    ``social_cost`` of that pair exactly, which makes it a useful independent
-    cross-check of the cost evaluator.  Requires odd n >= 3 and k = 2.
-    """
-    n = inst.n
-    if n % 2 == 0:
-        raise InputError(f"pair cost formula needs an odd number of agents, got n={n}")
-    if inst.k != 2:
-        raise InputError(f"pair cost formula is defined for k=2, got k={inst.k}")
-    stats = order_stats(inst)
-    m = inst.locations[stats.median_lo]
-    neighbour = stats.l_idx if side is Side.LEFT else stats.r_idx
-    if neighbour is None:  # unreachable for odd n >= 3, kept as a guard
-        raise InputError(f"median has no {side.value} neighbour")
-    x = inst.locations[neighbour]
-    total: Coord = 0
-    for loc in inst.locations:
-        total += abs(loc - m)
-    return 2 * total + abs(m - x)
+    return tuple(sorted(range(len(locs)), key=locs.__getitem__))

@@ -13,9 +13,14 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .errors import EnumerationBudgetError, InputError, UnsupportedVariantError
+from .errors import (
+    EnumerationBudgetError,
+    InputError,
+    InvariantError,
+    UnsupportedVariantError,
+)
 from .model import (
     Coord,
     Instance,
@@ -56,27 +61,16 @@ def enumeration_budget() -> int:
     return value
 
 
-def enumerate_solutions(inst: Instance) -> Iterator[Solution]:
-    """Yield all C(n, k) solutions, lexicographic over sorted positions.
+def brute_force_optimal(inst: Instance) -> OptResult:
+    """Exhaustive optimum for either variant.
 
-    "Lexicographic over sorted positions" pins the order: combinations are
-    drawn from agents listed left-to-right on the line, so the all-leftmost
-    window comes first and ties elsewhere resolve deterministically.
-    """
-    order = order_stats(inst).sorted_order
-    for combo in itertools.combinations(order, inst.k):
-        yield Solution(frozenset(combo))
-
-
-def brute_force_optimal(inst: Instance, budget: int | None = None) -> OptResult:
-    """Exhaustive optimum for either variant; ties go to enumeration order.
-
-    Raises EnumerationBudgetError when C(n, k) exceeds the budget (default
-    :data:`DEFAULT_BUDGET`, overridable via the FLP_BUDGET env var or the
-    ``budget`` argument).
+    Host sets are enumerated as combinations of agents in stable sorted
+    order, i.e. lexicographically over sorted positions, and ties go to the
+    first one: the all-leftmost window wins among equals.  Raises
+    EnumerationBudgetError when C(n, k) exceeds :func:`enumeration_budget`.
     """
     n, k = inst.n, inst.k
-    cap = enumeration_budget() if budget is None else budget
+    cap = enumeration_budget()
     count = math.comb(n, k)
     if count > cap:
         hint = (
@@ -90,7 +84,7 @@ def brute_force_optimal(inst: Instance, budget: int | None = None) -> OptResult:
         )
 
     locs = inst.locations
-    order = order_stats(inst).sorted_order
+    order = order_stats(inst)
     best_combo: tuple[int, ...] | None = None
     best_cost: Coord = 0
     if inst.variant is Variant.SUM:
@@ -115,7 +109,8 @@ def brute_force_optimal(inst: Instance, budget: int | None = None) -> OptResult:
                 cost += worst
             if best_combo is None or cost < best_cost:
                 best_combo, best_cost = combo, cost
-    assert best_combo is not None
+    if best_combo is None:
+        raise InvariantError(f"no host set enumerated for n={n}, k={k}")
     return OptResult(Solution(frozenset(best_combo)), best_cost)
 
 
@@ -158,7 +153,7 @@ def fast_optimal_sum(inst: Instance) -> OptResult:
     positions chosen by :func:`optimal_sum_window`, mapped to agents through
     the stable sort order."""
     require_sum_variant(inst.variant)
-    order = order_stats(inst).sorted_order
+    order = order_stats(inst)
     locs = inst.locations
     positions = optimal_sum_window([locs[i] for i in order], inst.k)
     sol = Solution(frozenset(order[p] for p in positions))

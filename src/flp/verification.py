@@ -26,17 +26,12 @@ from .mechanisms import MechanismId, Outcomes, apply, position_rule
 from .model import (
     Coord,
     Instance,
-    Side,
-    Solution,
     Variant,
     as_coord,
     exact_div,
     expected_agent_cost,
     expected_social_cost,
-    lemma_pair_cost,
-    order_stats,
     point_cost,
-    social_cost,
 )
 from .solver import brute_force_optimal
 
@@ -224,20 +219,7 @@ def _certify_violation(
     return SpViolation(agent, true_location, misreport, honest_cost, deviated_cost)
 
 
-def sp_refute(
-    mech: MechanismId, inst: Instance, grid_points: int = 200
-) -> SpViolation | None:
-    """First profitable deviation over the candidate set, or None.
-
-    None means "no violation among the candidates", not a proof of
-    strategyproofness.
-    """
-    return sp_scan(mech, inst, grid_points).violation
-
-
-def approx_ratio(
-    mech: MechanismId, inst: Instance, budget: int | None = None
-) -> RatioReport:
+def approx_ratio(mech: MechanismId, inst: Instance) -> RatioReport:
     """Exact expected-social-cost / optimum for one instance.
 
     A zero optimum only happens when all reports coincide, where every
@@ -245,7 +227,7 @@ def approx_ratio(
     """
     lottery = apply(mech, inst)
     mech_cost = expected_social_cost(inst, lottery)
-    opt = brute_force_optimal(inst, budget)
+    opt = brute_force_optimal(inst)
     if opt.cost == 0:
         if mech_cost != 0:
             raise InvariantError(
@@ -261,6 +243,9 @@ def approx_ratio(
     return RatioReport(mech, inst, mech_cost, opt.cost, ratio)
 
 
+_CLIMB_STARTS = 5  # how many of the best samples worst_ratio_search climbs from
+
+
 def worst_ratio_search(
     mech: MechanismId,
     variant: Variant,
@@ -269,10 +254,10 @@ def worst_ratio_search(
     trials: int,
     seed: int = 0,
     perturb_rounds: int = 10,
-    keep_top: int = 5,
 ) -> RatioReport:
     """Seeded search for a high-ratio instance: random sampling followed by
-    greedy coordinate hill-climbing with halving rational steps.
+    greedy coordinate hill-climbing with halving rational steps from the
+    five highest-ratio samples.
 
     Deterministic for fixed arguments.  Returns the best report seen; a lower
     bound witness, never an upper-bound claim.
@@ -287,7 +272,7 @@ def worst_ratio_search(
     reports = [approx_ratio(mech, inst) for inst in generate(spec, trials)]
     reports.sort(key=lambda r: r.ratio, reverse=True)
     best = reports[0]
-    for start in reports[:keep_top]:
+    for start in reports[:_CLIMB_STARTS]:
         climbed = _hill_climb(mech, start, perturb_rounds)
         if climbed.ratio > best.ratio:
             best = climbed
@@ -316,73 +301,62 @@ def _hill_climb(mech: MechanismId, start: RatioReport, rounds: int) -> RatioRepo
     return best
 
 
-def _check(name: str, passed: bool, details: str) -> RegressionResult:
-    return RegressionResult(name, passed, details)
-
-
-def _fixture_sum_det() -> RegressionResult:
-    inst = Instance((0, 0, 1), 2, Variant.SUM)
-    report = approx_ratio(MechanismId.MEDIAN_RIGHT, inst)
-    want = Fraction(3, 2)
-    return _check(
+# (name, mechanism, instance, lo, hi): the exact ratio must lie in [lo, hi],
+# or be at least lo where hi is None.
+_RATIO_FIXTURES = (
+    (
         "sum-det-3/2",
-        report.ratio == want,
-        f"median-right sum ratio on (0, 0, 1): {report.ratio} (want {want})",
-    )
-
-
-def _fixture_sum_rand() -> RegressionResult:
-    inst = Instance((0, Fraction(2361, 10000), 1), 2, Variant.SUM)
-    report = approx_ratio(MechanismId.REVERSE_PROPORTIONAL, inst)
-    lo = Fraction(10557, 10000)
-    ok = lo <= report.ratio <= RP_BOUND
-    return _check(
+        MechanismId.MEDIAN_RIGHT,
+        Instance((0, 0, 1), 2, Variant.SUM),
+        Fraction(3, 2),
+        Fraction(3, 2),
+    ),
+    (
         "sum-rand-1.0557",
-        ok,
-        f"reverse-proportional sum ratio on (0, 2361/10000, 1): {report.ratio} "
-        f"~ {float(report.ratio):.10f} (want within [{lo}, {RP_BOUND}])",
-    )
-
-
-def _fixture_max_det() -> RegressionResult:
-    inst = Instance((0, 0, 1), 2, Variant.MAX)
-    report = approx_ratio(MechanismId.MEDIAN_RIGHT, inst)
-    return _check(
-        "max-det-3",
-        report.ratio == 3,
-        f"median-right max ratio on (0, 0, 1): {report.ratio} (want 3)",
-    )
-
-
-def _fixture_max_rand() -> RegressionResult:
-    inst = Instance((0, 0, 1), 2, Variant.MAX)
-    report = approx_ratio(MechanismId.UNIFORM, inst)
-    return _check(
-        "max-rand-2",
-        report.ratio == 2,
-        f"uniform max ratio on (0, 0, 1): {report.ratio} (want 2)",
-    )
-
-
-def _fixture_sum_k_lower() -> RegressionResult:
-    inst = Instance((0, 1, 1, 1 + Fraction(1, 1000)), 3, Variant.SUM)
-    report = approx_ratio(MechanismId.MEDIAN_BALL, inst)
-    floor_ = Fraction(5, 3) - Fraction(1, 100)
-    return _check(
+        MechanismId.REVERSE_PROPORTIONAL,
+        Instance((0, Fraction(2361, 10000), 1), 2, Variant.SUM),
+        Fraction(10557, 10000),
+        RP_BOUND,
+    ),
+    ("max-det-3", MechanismId.MEDIAN_RIGHT, Instance((0, 0, 1), 2, Variant.MAX), 3, 3),
+    ("max-rand-2", MechanismId.UNIFORM, Instance((0, 0, 1), 2, Variant.MAX), 2, 2),
+    (
         "sum-k-lower",
-        report.ratio >= floor_,
-        f"median-ball k=3 sum ratio on (0, 1, 1, 1001/1000): {report.ratio} "
-        f"~ {float(report.ratio):.6f} (want >= {floor_})",
-    )
-
-
-def _fixture_max_k_lower() -> RegressionResult:
-    inst = Instance((0, 1, 1, 1), 3, Variant.MAX)
-    report = approx_ratio(MechanismId.MEDIAN_BALL, inst)
-    return _check(
+        MechanismId.MEDIAN_BALL,
+        Instance((0, 1, 1, Fraction(1001, 1000)), 3, Variant.SUM),
+        Fraction(5, 3) - Fraction(1, 100),
+        None,
+    ),
+    (
         "max-k-lower",
-        report.ratio == 4,
-        f"median-ball k=3 max ratio on (0, 1, 1, 1): {report.ratio} (want k+1 = 4)",
+        MechanismId.MEDIAN_BALL,
+        Instance((0, 1, 1, 1), 3, Variant.MAX),
+        4,
+        4,
+    ),
+)
+
+_STRUCTURE_FIXTURE = "max-structure-counterexample"
+
+REGRESSION_NAMES = tuple(row[0] for row in _RATIO_FIXTURES) + (_STRUCTURE_FIXTURE,)
+
+
+def _check_ratio(
+    name: str, mech: MechanismId, inst: Instance, lo: Coord, hi: Coord | None
+) -> RegressionResult:
+    ratio = approx_ratio(mech, inst).ratio
+    locs = ", ".join(str(x) for x in inst.locations)
+    if lo == hi:
+        want = str(lo)
+        shown = str(ratio)
+    else:
+        want = f">= {lo}" if hi is None else f"within [{lo}, {hi}]"
+        shown = f"{ratio} ~ {float(ratio):.10f}"
+    return RegressionResult(
+        name,
+        lo <= ratio and (hi is None or ratio <= hi),
+        f"{mech.value} k={inst.k} {inst.variant.value} ratio on ({locs}): {shown} "
+        f"(want {want})",
     )
 
 
@@ -398,26 +372,13 @@ def _fixture_max_structure() -> RegressionResult:
         and medians_cost == Fraction(11, 2)
         and opt.cost < medians_cost
     )
-    return _check(
-        "max-structure-counterexample",
+    return RegressionResult(
+        _STRUCTURE_FIXTURE,
         ok,
         f"max optimum on (-1/2, 0, 1, 2): cost {opt.cost} at "
         f"{[str(c) for c in opt.solution.coords(inst)]}, two-medians cost "
         f"{medians_cost} (want 5 at ['-1/2', '0'] beating 11/2)",
     )
-
-
-_REGRESSIONS = (
-    ("sum-det-3/2", _fixture_sum_det),
-    ("sum-rand-1.0557", _fixture_sum_rand),
-    ("max-det-3", _fixture_max_det),
-    ("max-rand-2", _fixture_max_rand),
-    ("sum-k-lower", _fixture_sum_k_lower),
-    ("max-k-lower", _fixture_max_k_lower),
-    ("max-structure-counterexample", _fixture_max_structure),
-)
-
-REGRESSION_NAMES = tuple(name for name, _ in _REGRESSIONS)
 
 
 def run_regressions(only: str | None = None) -> list[RegressionResult]:
@@ -426,21 +387,7 @@ def run_regressions(only: str | None = None) -> list[RegressionResult]:
         raise InputError(
             f"unknown regression {only!r}; known: {', '.join(REGRESSION_NAMES)}"
         )
-    results = []
-    for name, fn in _REGRESSIONS:
-        if only is not None and name != only:
-            continue
-        results.append(fn())
+    results = [_check_ratio(*row) for row in _RATIO_FIXTURES if only in (None, row[0])]
+    if only in (None, _STRUCTURE_FIXTURE):
+        results.append(_fixture_max_structure())
     return results
-
-
-def lemma_pair_cost_consistent(inst: Instance) -> bool:
-    """True when the closed-form pair cost matches the generic evaluator for
-    both median-adjacent pairs of an odd sum-variant instance."""
-    stats = order_stats(inst)
-    assert stats.l_idx is not None and stats.r_idx is not None
-    left = Solution(frozenset((stats.l_idx, stats.median_lo)))
-    right = Solution(frozenset((stats.median_lo, stats.r_idx)))
-    return lemma_pair_cost(inst, Side.LEFT) == social_cost(inst, left) and (
-        lemma_pair_cost(inst, Side.RIGHT) == social_cost(inst, right)
-    )

@@ -1,8 +1,9 @@
-"""Acceptance suite: nine end-to-end criteria, one test per criterion.
+"""Acceptance suite: nine end-to-end criteria, one test per criterion, plus a
+static check that criterion 7 scans exactly the pairs claimed strategyproof.
 
-Each test prints exactly one PASS/FAIL line (run pytest with -s or -rA to see
-them on success; they always appear on failure).  All arithmetic is exact;
-stated decimal tolerances are enforced with rational comparisons.
+Each criterion test prints exactly one PASS/FAIL line (run pytest with -s or
+-rA to see them on success; they always appear on failure).  All arithmetic
+is exact; stated decimal tolerances are enforced with rational comparisons.
 
 Criteria:
   1. Frozen optimal values on the small max/sum instances are exact.
@@ -17,9 +18,10 @@ Criteria:
      plus sweeps against the declared bounds (sum <= 2, max <= k+1).
   6. Fast sum solver agrees with exhaustive enumeration on 10,000+ random
      instances, n in [2, 9], k in [2, min(n, 5)].
-  7. No mechanism-designed-strategyproof admits a profitable misreport across
-     1,000 seeded instances each (default candidate grid); the manipulable
-     baseline is refuted, including the frozen 5 -> 7/2 deviation.
+  7. No (mechanism, variant) pair claimed strategyproof admits a profitable
+     misreport across 1,000 seeded instances per mechanism (default
+     candidate grid); the manipulable baseline is refuted, including the
+     frozen 5 -> 7/2 deviation.
   8. The closed-form median-pair cost matches the generic evaluator on 5,000
      random odd-n instances.
   9. All seven pinned regression fixtures pass and sweep CSVs are
@@ -44,13 +46,13 @@ from flp import (
     expected_agent_cost,
     fast_optimal_sum,
     generate,
-    lemma_pair_cost_consistent,
+    is_strategyproof,
     run_regressions,
     social_cost,
-    sp_refute,
     sp_scan,
 )
 from flp.cli import ExitCode, main
+from pair_cost import lemma_pair_cost_consistent
 
 FAMILIES = (
     Family.UNIFORM_INT,
@@ -347,7 +349,7 @@ def test_c7_no_profitable_misreports():
 
     # Negative control: the non-strategyproof baseline must be refuted.
     baseline_inst = Instance((0, 1, 3), 2, Variant.SUM)
-    if sp_refute(MechanismId.OPT_SUM_BASELINE, baseline_inst) is None:
+    if sp_scan(MechanismId.OPT_SUM_BASELINE, baseline_inst).violation is None:
         failures.append("baseline refutation missing on (0, 1, 3)")
     deviated = baseline_inst.with_location(2, F(3, 2))
     dev_cost = expected_agent_cost(
@@ -366,6 +368,12 @@ def test_c7_no_profitable_misreports():
         f"{scanned} scans across 7 mechanisms, no profitable misreport; "
         "baseline refuted (cost 5 -> 7/2 by reporting 3/2)",
     )
+
+
+def test_c7_scans_exactly_the_claimed_pairs():
+    scanned = {(mech, variant) for mech, variant, *_ in SP_SUITE}
+    claimed = {(m, v) for m in MechanismId for v in Variant if is_strategyproof(m, v)}
+    assert scanned == claimed
 
 
 def test_c8_pair_cost_identity():

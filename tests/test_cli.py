@@ -134,6 +134,14 @@ class TestMech:
         }
         assert probs == {("0", "1"): "2/3", ("1", "3"): "1/3"}
 
+    def test_unclaimed_variant_is_not_strategyproof_by_design(self, tmp_path, capsys):
+        triple = write_instance(tmp_path, (0, 1, 3), 2, Variant.MAX)
+        code, out, _ = run_cli(
+            ["mech", "--mech", "reverse-proportional", "--instance", triple], capsys
+        )
+        assert code == ExitCode.OK
+        assert json.loads(out)["strategyproof_by_design"] is False
+
     def test_median_right_matches_optimum(self, tmp_path, capsys):
         triple = write_instance(tmp_path, (0, 1, 2), 2, Variant.SUM)
         code, out, _ = run_cli(
@@ -191,6 +199,30 @@ class TestVerifySp:
         assert v is not None
         assert F(v["deviated_cost"]) < F(v["honest_cost"])
         assert "strategyproofness violation" in err
+
+    def test_reverse_proportional_max_violation_exits_4(self, capsys):
+        # No strategyproofness claim covers reverse-proportional under max.
+        code, out, _ = run_cli(
+            [
+                "verify-sp",
+                "--mech",
+                "reverse-proportional",
+                "--variant",
+                "max",
+                "--n",
+                "5",
+                "--trials",
+                "20",
+                "--seed",
+                "1",
+            ],
+            capsys,
+        )
+        assert code == ExitCode.SP_VIOLATION
+        v = json.loads(out)["violation"]
+        assert (v["seed_index"], v["locations"]) == (0, ["1", "3", "9", "6", "10"])
+        assert (v["agent"], v["true_location"], v["misreport"]) == (0, "1", "622/199")
+        assert (v["honest_cost"], v["deviated_cost"]) == ("13/2", "7561/1169")
 
     def test_median_right_clean_exits_0(self, capsys):
         code, out, _ = run_cli(

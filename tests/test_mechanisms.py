@@ -21,16 +21,8 @@ from flp import (
     UnsupportedVariantError,
     Variant,
     apply,
-    auto_sum,
     expected_social_cost,
     is_strategyproof,
-    median_ball,
-    median_left,
-    median_right,
-    opt_sum_baseline,
-    reverse_proportional,
-    two_medians,
-    uniform_lr,
 )
 
 
@@ -72,101 +64,101 @@ def profiles(draw, min_n=2, max_n=7, parity=None, max_k=None):
 class TestTwoMedians:
     def test_four_agents(self):
         inst = sum_inst(0, 1, 2, 3)
-        lot = two_medians(inst)
-        assert lot.is_degenerate()
+        lot = apply(MechanismId.TWO_MEDIANS, inst)
+        assert len(lot.support) == 1
         assert lot.support[0][0] == Solution.of(1, 2)
 
     def test_two_agents(self):
-        lot = two_medians(sum_inst(5, 2))
+        lot = apply(MechanismId.TWO_MEDIANS, sum_inst(5, 2))
         assert lot.support[0][0].coords(sum_inst(5, 2)) == (2, 5)
 
     def test_odd_n_rejected(self):
         with pytest.raises(MechanismPreconditionError, match="even number"):
-            two_medians(sum_inst(0, 1, 2))
+            apply(MechanismId.TWO_MEDIANS, sum_inst(0, 1, 2))
 
     def test_k_must_be_two(self):
         with pytest.raises(MechanismPreconditionError, match="k=2"):
-            two_medians(sum_inst(0, 1, 2, 3, k=3))
+            apply(MechanismId.TWO_MEDIANS, sum_inst(0, 1, 2, 3, k=3))
 
 
 class TestMedianRight:
     def test_basic(self):
-        lot = median_right(sum_inst(0, 1, 2))
+        lot = apply(MechanismId.MEDIAN_RIGHT, sum_inst(0, 1, 2))
         assert lot.support[0][0] == Solution.of(1, 2)
 
     def test_coincident_median(self):
         inst = sum_inst(0, 0, 1)
-        lot = median_right(inst)
+        lot = apply(MechanismId.MEDIAN_RIGHT, inst)
         assert lot.support[0][0].coords(inst) == (0, 1)
 
     def test_two_agents(self):
-        lot = median_right(sum_inst(5, 2))
+        lot = apply(MechanismId.MEDIAN_RIGHT, sum_inst(5, 2))
         assert lot.support[0][0] == Solution.of(0, 1)
 
     def test_k_must_be_two(self):
         with pytest.raises(MechanismPreconditionError):
-            median_right(sum_inst(0, 1, 2, k=3))
+            apply(MechanismId.MEDIAN_RIGHT, sum_inst(0, 1, 2, k=3))
 
 
 class TestMedianLeft:
     def test_basic(self):
-        lot = median_left(sum_inst(0, 1, 2))
+        lot = apply(MechanismId.MEDIAN_LEFT, sum_inst(0, 1, 2))
         assert lot.support[0][0] == Solution.of(0, 1)
 
     def test_coincident(self):
         inst = sum_inst(0, 0, 1)
-        lot = median_left(inst)
+        lot = apply(MechanismId.MEDIAN_LEFT, inst)
         assert lot.support[0][0].coords(inst) == (0, 0)
 
     def test_two_agents_rejected(self):
         with pytest.raises(MechanismPreconditionError, match="left neighbour"):
-            median_left(sum_inst(0, 1))
+            apply(MechanismId.MEDIAN_LEFT, sum_inst(0, 1))
 
 
 class TestUniformLeftRight:
     def test_equal_split(self):
         inst = sum_inst(0, 1, 2)
-        lot = uniform_lr(inst)
+        lot = apply(MechanismId.UNIFORM, inst)
         assert outcome_coords(inst, lot) == {((0, 1), F(1, 2)), ((1, 2), F(1, 2))}
 
     def test_expected_max_cost(self):
         inst = max_inst(0, 0, 1)
-        assert expected_social_cost(inst, uniform_lr(inst)) == 2
+        assert expected_social_cost(inst, apply(MechanismId.UNIFORM, inst)) == 2
 
     def test_even_n_rejected(self):
         with pytest.raises(MechanismPreconditionError, match="odd"):
-            uniform_lr(sum_inst(0, 1, 2, 3))
+            apply(MechanismId.UNIFORM, sum_inst(0, 1, 2, 3))
 
 
 class TestReverseProportional:
     def test_probabilities_reverse_proportional_to_gaps(self):
         inst = sum_inst(0, 1, 3)
-        lot = reverse_proportional(inst)
+        lot = apply(MechanismId.REVERSE_PROPORTIONAL, inst)
         assert outcome_coords(inst, lot) == {((0, 1), F(2, 3)), ((1, 3), F(1, 3))}
         assert expected_social_cost(inst, lot) == F(22, 3)
 
     def test_zero_gap_collapses_to_point_mass(self):
         inst = sum_inst(0, 0, 1)
-        lot = reverse_proportional(inst)
-        assert lot.is_degenerate()
+        lot = apply(MechanismId.REVERSE_PROPORTIONAL, inst)
+        assert len(lot.support) == 1
         assert lot.support[0][0].coords(inst) == (0, 0)
 
     def test_all_coincident_splits_evenly(self):
         inst = sum_inst(5, 5, 5)
-        lot = reverse_proportional(inst)
+        lot = apply(MechanismId.REVERSE_PROPORTIONAL, inst)
         assert sorted(p for _, p in lot.support) == [F(1, 2), F(1, 2)]
         assert expected_social_cost(inst, lot) == 0
 
     def test_even_n_rejected(self):
         with pytest.raises(MechanismPreconditionError, match="odd"):
-            reverse_proportional(sum_inst(0, 1))
+            apply(MechanismId.REVERSE_PROPORTIONAL, sum_inst(0, 1))
 
     @given(profiles(min_n=3, max_n=9, parity="odd"))
     @settings(max_examples=60)
     def test_probabilities_match_definition(self, profile):
         locs, k = profile
         inst = Instance(locs, 2, Variant.SUM)
-        lot = reverse_proportional(inst)
+        lot = apply(MechanismId.REVERSE_PROPORTIONAL, inst)
         xs = sorted(locs)
         s = (len(xs) - 1) // 2
         gap_left = xs[s] - xs[s - 1]  # median to its left neighbour
@@ -184,17 +176,17 @@ class TestReverseProportional:
 class TestMedianBall:
     def test_odd_k_centers_on_median(self):
         inst = max_inst(0, 1, 1, 1, k=3)
-        lot = median_ball(inst)
+        lot = apply(MechanismId.MEDIAN_BALL, inst)
         assert lot.support[0][0].coords(inst) == (0, 1, 1)
 
     def test_even_k_extends_right(self):
         inst = sum_inst(0, 1, 2, 3, 4, 5, k=4)
-        lot = median_ball(inst)
+        lot = apply(MechanismId.MEDIAN_BALL, inst)
         assert lot.support[0][0].coords(inst) == (1, 2, 3, 4)
 
     def test_k_equals_n_takes_everyone(self):
         inst = sum_inst(3, 1, 2, k=3)
-        lot = median_ball(inst)
+        lot = apply(MechanismId.MEDIAN_BALL, inst)
         assert lot.support[0][0] == Solution.of(0, 1, 2)
 
     @given(profiles(min_n=2, max_n=8, max_k=6))
@@ -202,7 +194,7 @@ class TestMedianBall:
     def test_window_is_contiguous_and_contains_median(self, profile):
         locs, k = profile
         inst = Instance(locs, k, Variant.SUM)
-        lot = median_ball(inst)
+        lot = apply(MechanismId.MEDIAN_BALL, inst)
         sol = lot.support[0][0]
         order = sorted(range(len(locs)), key=lambda i: (locs[i], i))
         positions = sorted(order.index(h) for h in sol.hosts)
@@ -214,41 +206,67 @@ class TestMedianBall:
     def test_k2_matches_median_right(self, profile):
         locs, _ = profile
         inst = Instance(locs, 2, Variant.SUM)
-        assert median_ball(inst).support == median_right(inst).support
+        assert (
+            apply(MechanismId.MEDIAN_BALL, inst).support
+            == apply(MechanismId.MEDIAN_RIGHT, inst).support
+        )
 
 
 class TestAutoSum:
     def test_even_delegates_to_two_medians(self):
         inst = sum_inst(0, 1, 2, 3)
-        assert auto_sum(inst).support == two_medians(inst).support
+        assert (
+            apply(MechanismId.AUTO_SUM, inst).support
+            == apply(MechanismId.TWO_MEDIANS, inst).support
+        )
 
     def test_odd_delegates_to_reverse_proportional(self):
         inst = sum_inst(0, 1, 3)
-        assert auto_sum(inst).support == reverse_proportional(inst).support
+        assert (
+            apply(MechanismId.AUTO_SUM, inst).support
+            == apply(MechanismId.REVERSE_PROPORTIONAL, inst).support
+        )
 
     def test_k_must_be_two(self):
         with pytest.raises(MechanismPreconditionError):
-            auto_sum(sum_inst(0, 1, 2, k=3))
+            apply(MechanismId.AUTO_SUM, sum_inst(0, 1, 2, k=3))
 
 
 class TestOptSumBaseline:
     def test_point_mass_on_optimum(self):
         inst = sum_inst(0, 1, 3)
-        lot = opt_sum_baseline(inst)
-        assert lot.is_degenerate()
+        lot = apply(MechanismId.OPT_SUM_BASELINE, inst)
+        assert len(lot.support) == 1
         assert lot.support[0][0] == Solution.of(0, 1)
 
     def test_max_variant_unsupported(self):
         with pytest.raises(UnsupportedVariantError):
-            opt_sum_baseline(max_inst(0, 1, 2))
+            apply(MechanismId.OPT_SUM_BASELINE, max_inst(0, 1, 2))
 
     def test_not_marked_strategyproof(self):
         assert not is_strategyproof(MechanismId.OPT_SUM_BASELINE)
+        assert not any(
+            is_strategyproof(MechanismId.OPT_SUM_BASELINE, v) for v in Variant
+        )
         assert all(
             is_strategyproof(m)
             for m in MechanismId
             if m is not MechanismId.OPT_SUM_BASELINE
         )
+
+
+class TestStrategyproofClaims:
+    def test_refuted_max_pairs_are_unclaimed(self):
+        # Both are manipulable under max (see the verify-sp refutation test).
+        for mech in (MechanismId.REVERSE_PROPORTIONAL, MechanismId.AUTO_SUM):
+            assert not is_strategyproof(mech, Variant.MAX)
+            assert is_strategyproof(mech, Variant.SUM)
+
+    def test_claims_follow_the_declared_bound_rows(self):
+        assert is_strategyproof(MechanismId.MEDIAN_LEFT, Variant.MAX)
+        assert is_strategyproof(MechanismId.UNIFORM, Variant.MAX)
+        assert not is_strategyproof(MechanismId.UNIFORM, Variant.SUM)
+        assert not is_strategyproof(MechanismId.TWO_MEDIANS, Variant.MAX)
 
 
 class TestApply:

@@ -12,25 +12,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flp import (
+    Family,
+    GenSpec,
     InfeasibleError,
     InputError,
     Instance,
     InvariantError,
     Lottery,
     ParseError,
-    Side,
     Solution,
     Variant,
     agent_cost,
     as_coord,
     coord_str,
-    distance,
     expected_agent_cost,
     expected_social_cost,
-    lemma_pair_cost,
+    generate,
     order_stats,
     social_cost,
 )
+from pair_cost import Side, lemma_pair_cost, lemma_pair_cost_consistent, median_pair
 
 
 def sum_inst(*locs, k=2):
@@ -136,16 +137,6 @@ class TestInstanceValidation:
         assert inst.locations == (0, 1, 2)  # original untouched
         with pytest.raises(InputError):
             inst.with_location(3, 0)
-
-
-class TestDistance:
-    def test_fixed_value(self):
-        assert distance(F(-1, 2), 2) == F(5, 2)
-
-    @given(coords, coords)
-    def test_symmetry_and_identity(self, a, b):
-        assert distance(a, b) == distance(b, a) >= 0
-        assert distance(a, a) == 0
 
 
 class TestAgentCost:
@@ -255,8 +246,7 @@ class TestCostInvariants:
 class TestLottery:
     def test_point_mass(self):
         lot = Lottery.point_mass(Solution.of(0, 1))
-        assert lot.is_degenerate()
-        assert lot.support[0][1] == 1
+        assert lot.support == ((Solution.of(0, 1), 1),)
 
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(InvariantError):
@@ -318,38 +308,30 @@ class TestExpectedCosts:
 
 class TestOrderStats:
     def test_simple(self):
-        stats = order_stats(sum_inst(0, 1, 2))
-        assert stats.sorted_order == (0, 1, 2)
-        assert stats.median_lo == stats.median_hi == 1
-        assert stats.l_idx == 0 and stats.r_idx == 2
-
-    def test_even(self):
-        stats = order_stats(sum_inst(0, 1, 2, 3))
-        assert stats.median_lo == 1 and stats.median_hi == 2
-        assert stats.l_idx == 0 and stats.r_idx == 2
+        assert order_stats(sum_inst(0, 1, 2)) == (0, 1, 2)
 
     def test_ties_break_by_original_index(self):
-        stats = order_stats(sum_inst(0, 0, 1))
-        assert stats.sorted_order == (0, 1, 2)
-        assert stats.median_lo == 1  # the second agent at 0
-        assert stats.r_idx == 2
+        assert order_stats(sum_inst(1, 0, 0)) == (1, 2, 0)
 
     def test_unsorted_input(self):
-        stats = order_stats(sum_inst(5, 2))
-        assert stats.sorted_order == (1, 0)
-        assert stats.median_lo == 1 and stats.median_hi == 0
-        assert stats.l_idx is None and stats.r_idx == 0
+        assert order_stats(sum_inst(5, 2)) == (1, 0)
+        assert order_stats(sum_inst(3, F(-1, 2), 2, 0)) == (1, 3, 2, 0)
 
     @given(instances())
     @settings(max_examples=60)
     def test_order_is_stable_sort(self, inst):
-        stats = order_stats(inst)
-        assert sorted(stats.sorted_order) == list(range(inst.n))
-        keyed = [(inst.locations[i], i) for i in stats.sorted_order]
+        order = order_stats(inst)
+        assert sorted(order) == list(range(inst.n))
+        keyed = [(inst.locations[i], i) for i in order]
         assert keyed == sorted(keyed)
 
 
 class TestLemmaPairCost:
+    def test_median_pair_follows_sorted_order(self):
+        inst = sum_inst(3, 0, 0)  # sorted: agent 1, agent 2, agent 0
+        assert median_pair(inst, Side.LEFT) == (2, 1)
+        assert median_pair(inst, Side.RIGHT) == (2, 0)
+
     def test_fixed_values(self):
         inst = sum_inst(0, 1, 3)
         assert lemma_pair_cost(inst, Side.RIGHT) == 8
@@ -368,14 +350,25 @@ class TestLemmaPairCost:
         with pytest.raises(InputError):
             lemma_pair_cost(sum_inst(0, 1, 2, k=3), Side.LEFT)
 
+    def test_consistency_check_rejects_even_n(self):
+        with pytest.raises(InputError, match="odd number"):
+            lemma_pair_cost_consistent(sum_inst(0, 1))
+
     @given(instances(min_n=3, max_n=9, odd_only=True, variant=Variant.SUM, k=2))
     @settings(max_examples=80)
     def test_matches_social_cost_of_pair(self, inst):
-        stats = order_stats(inst)
-        left = Solution.of(stats.l_idx, stats.median_lo)
-        right = Solution.of(stats.median_lo, stats.r_idx)
+        order = order_stats(inst)
+        m = (inst.n - 1) // 2
+        left = Solution.of(order[m - 1], order[m])
+        right = Solution.of(order[m], order[m + 1])
         assert lemma_pair_cost(inst, Side.LEFT) == social_cost(inst, left)
         assert lemma_pair_cost(inst, Side.RIGHT) == social_cost(inst, right)
+
+    def test_consistent_on_generated_instances(self):
+        for family in (Family.UNIFORM_GRID, Family.COINCIDENT):
+            spec = GenSpec(family, n=5, k=2, variant=Variant.SUM, seed=23)
+            for inst in generate(spec, 20):
+                assert lemma_pair_cost_consistent(inst)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ host set; the fast solver is checked against those same frozen values and,
 property-style, against the enumerator on random instances.
 """
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -22,7 +23,6 @@ from flp import (
     UnsupportedVariantError,
     Variant,
     brute_force_optimal,
-    enumerate_solutions,
     enumeration_budget,
     fast_optimal_sum,
     social_cost,
@@ -52,34 +52,11 @@ def instances(draw, variant=None, max_n=7):
     return Instance(locs, k, var)
 
 
-class TestEnumeration:
-    def test_count_matches_binomial(self):
-        assert len(list(enumerate_solutions(sum_inst(0, 1, 3)))) == 3
-        assert len(list(enumerate_solutions(sum_inst(0, 1, 2, 3, k=3)))) == 4
-        assert len(list(enumerate_solutions(sum_inst(0, 1, k=2)))) == 1
-
-    def test_order_follows_sorted_positions(self):
-        sols = list(enumerate_solutions(sum_inst(0, 1, 3)))
-        assert [s.hosts for s in sols] == [
-            frozenset({0, 1}),
-            frozenset({0, 2}),
-            frozenset({1, 2}),
-        ]
-
-    def test_unsorted_input_enumerates_by_coordinate(self):
-        # Locations (5, 2): sorted order is agent 1 then agent 0.
-        sols = list(enumerate_solutions(sum_inst(5, 2)))
-        assert sols == [Solution.of(0, 1)]
-
-    @given(instances(max_n=6))
-    @settings(max_examples=40)
-    def test_all_solutions_feasible_and_unique(self, inst):
-        sols = list(enumerate_solutions(inst))
-        assert len(sols) == math.comb(inst.n, inst.k)
-        assert len({s.hosts for s in sols}) == len(sols)
-        for s in sols:
-            assert len(s.hosts) == inst.k
-            assert all(0 <= h < inst.n for h in s.hosts)
+def all_solutions(inst):
+    """Every feasible host set, independently of the solver's own loops."""
+    return [
+        Solution(frozenset(c)) for c in itertools.combinations(range(inst.n), inst.k)
+    ]
 
 
 class TestBruteForce:
@@ -89,11 +66,7 @@ class TestBruteForce:
         assert opt.solution == Solution.of(0, 1)
         assert opt.cost == 7
         # Exhaustive cross-check of every candidate pair.
-        assert sorted(social_cost(inst, s) for s in enumerate_solutions(inst)) == [
-            7,
-            8,
-            9,
-        ]
+        assert sorted(social_cost(inst, s) for s in all_solutions(inst)) == [7, 8, 9]
 
     def test_max_prefers_far_left_pair(self):
         # Unique optimum places both facilities left of centre.
@@ -112,6 +85,16 @@ class TestBruteForce:
         assert opt.solution == Solution.of(0, 1)
         assert opt.cost == 0
 
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_unsorted_tie_goes_to_leftmost_sorted_positions(self, variant):
+        # Sorted order is agents 1, 2 (at 0) then 0, 3 (at 3).  {1, 2} and
+        # {0, 3} tie under both variants (every pair does under sum); the
+        # first pair over sorted positions wins, not the first by index.
+        inst = Instance((3, 0, 0, 3), 2, variant)
+        opt = brute_force_optimal(inst)
+        assert social_cost(inst, Solution.of(0, 3)) == opt.cost
+        assert opt.solution == Solution.of(1, 2)
+
     def test_cost_matches_certificate(self):
         inst = max_inst(0, F(1, 3), 2, 5, k=3)
         opt = brute_force_optimal(inst)
@@ -121,7 +104,7 @@ class TestBruteForce:
     @settings(max_examples=40)
     def test_returns_minimum_over_enumeration(self, inst):
         opt = brute_force_optimal(inst)
-        costs = [social_cost(inst, s) for s in enumerate_solutions(inst)]
+        costs = [social_cost(inst, s) for s in all_solutions(inst)]
         assert opt.cost == min(costs)
         assert social_cost(inst, opt.solution) == opt.cost
 
@@ -131,17 +114,20 @@ class TestEnumerationBudget:
         assert DEFAULT_BUDGET == math.comb(20, 6)
         assert enumeration_budget() == DEFAULT_BUDGET
 
-    def test_explicit_budget_exceeded_sum_hints_at_fast_solver(self):
+    def test_budget_exceeded_sum_hints_at_fast_solver(self, monkeypatch):
+        monkeypatch.setenv("FLP_BUDGET", "2")
         with pytest.raises(EnumerationBudgetError, match="fast_optimal_sum"):
-            brute_force_optimal(sum_inst(0, 1, 3), budget=2)
+            brute_force_optimal(sum_inst(0, 1, 3))
 
-    def test_explicit_budget_exceeded_max_has_no_hint(self):
+    def test_budget_exceeded_max_has_no_hint(self, monkeypatch):
+        monkeypatch.setenv("FLP_BUDGET", "2")
         with pytest.raises(EnumerationBudgetError) as err:
-            brute_force_optimal(max_inst(0, 1, 3), budget=2)
+            brute_force_optimal(max_inst(0, 1, 3))
         assert "fast_optimal_sum" not in str(err.value)
 
-    def test_budget_equal_to_count_is_allowed(self):
-        assert brute_force_optimal(sum_inst(0, 1, 3), budget=3).cost == 7
+    def test_budget_equal_to_count_is_allowed(self, monkeypatch):
+        monkeypatch.setenv("FLP_BUDGET", "3")
+        assert brute_force_optimal(sum_inst(0, 1, 3)).cost == 7
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("FLP_BUDGET", "5")

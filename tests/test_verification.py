@@ -38,13 +38,11 @@ from flp import (
     expected_agent_cost,
     expected_social_cost,
     generate,
-    lemma_pair_cost_consistent,
     run_regressions,
-    sp_refute,
     sp_scan,
     worst_ratio_search,
 )
-from flp.verification import _certify_violation
+from flp.verification import _certify_violation, _check_ratio
 
 
 def sum_inst(*locs, k=2):
@@ -96,7 +94,7 @@ class TestCandidateMisreports:
 
 class TestSpScan:
     def test_baseline_is_manipulable(self):
-        v = sp_refute(MechanismId.OPT_SUM_BASELINE, sum_inst(0, 1, 3))
+        v = sp_scan(MechanismId.OPT_SUM_BASELINE, sum_inst(0, 1, 3)).violation
         assert v is not None
         assert v.agent == 2 and v.true_location == 3
         assert v.honest_cost == 5
@@ -121,16 +119,15 @@ class TestSpScan:
         assert expected_agent_cost(dev, lot, 2, 3) == F(7, 2) < 5
 
     def test_baseline_found_with_coarse_grid(self):
-        assert (
-            sp_refute(MechanismId.OPT_SUM_BASELINE, sum_inst(0, 1, 3), grid_points=50)
-            is not None
-        )
+        scan = sp_scan(MechanismId.OPT_SUM_BASELINE, sum_inst(0, 1, 3), grid_points=50)
+        assert scan.violation is not None
 
     def test_median_right_not_refuted(self):
-        assert sp_refute(MechanismId.MEDIAN_RIGHT, sum_inst(0, 1, 2)) is None
+        assert sp_scan(MechanismId.MEDIAN_RIGHT, sum_inst(0, 1, 2)).violation is None
 
     def test_reverse_proportional_not_refuted(self):
-        assert sp_refute(MechanismId.REVERSE_PROPORTIONAL, sum_inst(0, 1, 3)) is None
+        mech = MechanismId.REVERSE_PROPORTIONAL
+        assert sp_scan(mech, sum_inst(0, 1, 3)).violation is None
 
     def test_reverse_proportional_boundary_deviation_is_neutral(self):
         # Agent at 3 misreporting 2 changes the lottery but not its own
@@ -257,7 +254,7 @@ def test_invariant_checks_survive_python_optimize():
         from fractions import Fraction
         import flp.verification as v
         from flp import Instance, InvariantError, MechanismId, OptResult, Solution
-        from flp import Variant
+        from flp import Variant, brute_force_optimal
 
         def fires(call):
             try:
@@ -275,12 +272,19 @@ def test_invariant_checks_survive_python_optimize():
 
         inst = Instance((0, 1, 3), 2, Variant.SUM)  # median-right costs 9
         def optimum(cost):
-            return lambda inst, budget=None: OptResult(Solution.of(0, 1), cost)
+            return lambda inst: OptResult(Solution.of(0, 1), cost)
         v.brute_force_optimal = optimum(0)
         zero_optimum = fires(lambda: v.approx_ratio(mech, inst))
         v.brute_force_optimal = optimum(10)
         ratio = fires(lambda: v.approx_ratio(mech, inst))
-        print(json.dumps([__debug__, scale, zero_optimum, ratio]))
+
+        # k > n slips past validation only when it is bypassed; nothing is
+        # enumerated then.
+        empty = object.__new__(Instance)
+        for name, value in (("locations", (0, 1)), ("k", 3), ("variant", Variant.SUM)):
+            object.__setattr__(empty, name, value)
+        no_host_set = fires(lambda: brute_force_optimal(empty))
+        print(json.dumps([__debug__, scale, zero_optimum, ratio, no_host_set]))
         """
     )
     src = str(Path(flp.__file__).resolve().parent.parent)
@@ -294,7 +298,7 @@ def test_invariant_checks_survive_python_optimize():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [False, True, True, True]
+    assert json.loads(proc.stdout) == [False, True, True, True, True]
 
 
 class TestApproxRatio:
@@ -327,9 +331,12 @@ class TestApproxRatio:
         assert report.opt_cost == 7
         assert report.ratio == F(22, 21)
 
-    def test_budget_is_forwarded(self):
+    def test_env_budget_applies(self, monkeypatch):
+        monkeypatch.setenv("FLP_BUDGET", "2")
         with pytest.raises(EnumerationBudgetError):
-            approx_ratio(MechanismId.MEDIAN_RIGHT, sum_inst(0, 1, 2), budget=1)
+            approx_ratio(MechanismId.MEDIAN_RIGHT, sum_inst(0, 1, 2))
+        monkeypatch.setenv("FLP_BUDGET", "3")
+        assert approx_ratio(MechanismId.MEDIAN_RIGHT, sum_inst(0, 1, 2)).ratio == 1
 
 
 class TestWorstRatioSearch:
@@ -400,13 +407,16 @@ class TestRegressions:
         with pytest.raises(InputError, match="unknown regression"):
             run_regressions(only="made-up")
 
-
-class TestLemmaConsistency:
-    def test_holds_on_generated_instances(self):
-        for family in (Family.UNIFORM_GRID, Family.COINCIDENT):
-            spec = GenSpec(family, n=5, k=2, variant=Variant.SUM, seed=23)
-            for inst in generate(spec, 20):
-                assert lemma_pair_cost_consistent(inst)
+    def test_ratio_checker_bounds(self):
+        inst = sum_inst(0, 0, 1)  # median-right ratio 3/2
+        for lo, hi, passed in (
+            (F(3, 2), F(3, 2), True),
+            (1, F(7, 5), False),
+            (F(7, 5), None, True),
+            (F(8, 5), None, False),
+        ):
+            result = _check_ratio("probe", MechanismId.MEDIAN_RIGHT, inst, lo, hi)
+            assert result.passed is passed
 
 
 if __name__ == "__main__":
