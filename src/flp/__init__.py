@@ -9,7 +9,6 @@ generators, and a CLI (``flp``).
 
 from .bounds import RP_BOUND, declared_bound, is_strategyproof
 from .errors import (
-    EnumerationBudgetError,
     FlpError,
     InfeasibleError,
     InputError,
@@ -42,10 +41,8 @@ from .model import (
     social_cost,
 )
 from .solver import (
-    DEFAULT_BUDGET,
     OptResult,
     brute_force_optimal,
-    enumeration_budget,
     fast_optimal_sum,
 )
 from .verification import (
@@ -65,8 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Coord",
-    "DEFAULT_BUDGET",
-    "EnumerationBudgetError",
     "Family",
     "FlpError",
     "GenSpec",
@@ -97,7 +92,6 @@ __all__ = [
     "coord_str",
     "declared_bound",
     "dump_instance",
-    "enumeration_budget",
     "expected_agent_cost",
     "expected_social_cost",
     "fast_optimal_sum",

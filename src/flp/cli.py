@@ -103,7 +103,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if fast.cost != opt.cost:
             raise InvariantError(
                 f"median-window solver cost {fast.cost} disagrees with "
-                f"enumeration cost {opt.cost}"
+                f"optimal cost {opt.cost}"
             )
         record["fast_solver_agrees"] = True
         record["fast_solver_coordinates"] = [

@@ -32,9 +32,5 @@ class UnsupportedVariantError(FlpError):
     """An operation restricted to one cost variant was called on the other."""
 
 
-class EnumerationBudgetError(FlpError):
-    """Exhaustive enumeration would exceed the configured budget."""
-
-
 class ParseError(InputError):
     """A file or literal could not be parsed; message pinpoints the location."""

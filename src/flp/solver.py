@@ -1,26 +1,18 @@
-"""Optimal solvers: exhaustive enumeration and a median-window fast path.
+"""Optimal solvers: an exact rule per variant and a median-window fast path.
 
-``brute_force_optimal`` is the ground-truth oracle: it evaluates the exact
-social cost of every feasible solution, guarded by an enumeration budget.
-``fast_optimal_sum`` exploits the structure of the SUM variant, where an
-optimal solution is a run of consecutive sorted agents covering a median;
-the two must always agree on cost, which the test suite checks at scale.
+``brute_force_optimal`` is the ground truth: it prices host sets exactly over
+the sorted reports, through one prefix-sum array.  ``fast_optimal_sum``
+exploits the structure of the SUM variant, where an optimal solution is a run
+of consecutive sorted agents covering a median; the two must always agree on
+cost, which the test suite checks at scale against an enumeration oracle.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    EnumerationBudgetError,
-    InputError,
-    InvariantError,
-    UnsupportedVariantError,
-)
+from .errors import InvariantError, UnsupportedVariantError
 from .model import (
     Coord,
     Instance,
@@ -29,12 +21,6 @@ from .model import (
     order_stats,
     social_cost,
 )
-
-DEFAULT_BUDGET = math.comb(20, 6)
-"""Default cap on enumerated solutions: every instance with n <= 20 and
-k <= 6 fits, since C(n, k) <= C(20, 6) there."""
-
-BUDGET_ENV_VAR = "FLP_BUDGET"
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,73 +31,51 @@ class OptResult:
     cost: Coord
 
 
-def enumeration_budget() -> int:
-    """The active enumeration cap; the FLP_BUDGET env var overrides the default."""
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(
-            f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise InputError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
-    return value
-
-
 def brute_force_optimal(inst: Instance) -> OptResult:
-    """Exhaustive optimum for either variant.
+    """Exact optimum for either variant, in O(n log n) for sum and O(n^2)
+    for max.
 
-    Host sets are enumerated as combinations of agents in stable sorted
-    order, i.e. lexicographically over sorted positions, and ties go to the
-    first one: the all-leftmost window wins among equals.  Raises
-    EnumerationBudgetError when C(n, k) exceeds :func:`enumeration_budget`.
+    Ties go to the first optimal host set in lexicographic order over stable
+    sorted positions (the order in which enumerating all C(n, k) host sets
+    would meet them), so the all-leftmost choice wins among equals.
     """
     n, k = inst.n, inst.k
-    cap = enumeration_budget()
-    count = math.comb(n, k)
-    if count > cap:
-        hint = (
-            "; fast_optimal_sum solves the sum variant without enumeration"
-            if inst.variant is Variant.SUM
-            else ""
-        )
-        raise EnumerationBudgetError(
-            f"C({n}, {k}) = {count} solutions exceeds the enumeration budget "
-            f"of {cap}{hint}"
-        )
-
+    if k > n:
+        raise InvariantError(f"no host set of {k} agents among n={n}")
     locs = inst.locations
     order = order_stats(inst)
-    best_combo: tuple[int, ...] | None = None
-    best_cost: Coord = 0
+    xs = [locs[i] for i in order]
+    prefix: list[Coord] = [0]
+    for x in xs:
+        prefix.append(prefix[-1] + x)
+    total = prefix[n]
     if inst.variant is Variant.SUM:
-        # Social cost of a solution is the sum over hosts of that host's
-        # total distance to all agents, so precompute those totals once.
-        host_total = {i: sum(abs(x - locs[i]) for x in locs) for i in range(n)}
-        for combo in itertools.combinations(order, k):
-            cost: Coord = 0
-            for i in combo:
-                cost += host_total[i]
-            if best_combo is None or cost < best_cost:
-                best_combo, best_cost = combo, cost
+        # Social cost is the sum over hosts of each host's total distance to
+        # all agents, so the k smallest totals win; the stable sort keeps the
+        # leftmost positions among equal totals.
+        totals = [x * (2 * p - n) - 2 * prefix[p] + total for p, x in enumerate(xs)]
+        positions = sorted(sorted(range(n), key=totals.__getitem__)[:k])
+        cost = sum(totals[p] for p in positions)
     else:
-        for combo in itertools.combinations(order, k):
-            cost = 0
-            for x in locs:
-                worst: Coord = 0
-                for i in combo:
-                    d = abs(x - locs[i])
-                    if d > worst:
-                        worst = d
-                cost += worst
-            if best_combo is None or cost < best_cost:
-                best_combo, best_cost = combo, cost
-    if best_combo is None:
-        raise InvariantError(f"no host set enumerated for n={n}, k={k}")
-    return OptResult(Solution(frozenset(best_combo)), best_cost)
+        # An agent's cost is its distance to the farther of the outermost
+        # hosts a < b, so only that pair matters: hosts a .. a+k-2 plus b is
+        # the first host set with those ends, and pairs are scanned in order.
+        best: tuple[int, int] | None = None
+        cost = 0
+        for a in range(n - k + 1):
+            xa = xs[a]
+            mid = a + 1
+            for b in range(a + k - 1, n):
+                xb = xs[b]
+                while mid < n and 2 * xs[mid] <= xa + xb:
+                    mid += 1
+                # Agents before mid pay xb - x, the rest pay x - xa.
+                pair = mid * xb - 2 * prefix[mid] + total - (n - mid) * xa
+                if best is None or pair < cost:
+                    best, cost = (a, b), pair
+        a, b = best  # k <= n leaves at least the pair (0, n - 1)
+        positions = [*range(a, a + k - 1), b]
+    return OptResult(Solution(frozenset(order[p] for p in positions)), cost)
 
 
 def require_sum_variant(variant: Variant) -> None:

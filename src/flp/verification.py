@@ -238,7 +238,7 @@ def approx_ratio(mech: MechanismId, inst: Instance) -> RatioReport:
         ratio = exact_div(mech_cost, opt.cost)
     if ratio < 1:
         raise InvariantError(
-            f"mechanism cost {mech_cost} below the enumerated optimum {opt.cost}"
+            f"mechanism cost {mech_cost} below the optimum {opt.cost}"
         )
     return RatioReport(mech, inst, mech_cost, opt.cost, ratio)
 

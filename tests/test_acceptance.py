@@ -16,8 +16,9 @@ Criteria:
      even/odd bounds.
   5. Median window for k >= 2: max fixture 4, sum fixture >= 5/3 - 1/100,
      plus sweeps against the declared bounds (sum <= 2, max <= k+1).
-  6. Fast sum solver agrees with exhaustive enumeration on 10,000+ random
-     instances, n in [2, 9], k in [2, min(n, 5)].
+  6. The exact optimum (cost and host set) and the fast sum solver (cost)
+     agree with exhaustive enumeration on 10,000+ random instances per
+     variant, n in [2, 9], k in [2, min(n, 5)].
   7. No (mechanism, variant) pair claimed strategyproof admits a profitable
      misreport across 1,000 seeded instances per mechanism (default
      candidate grid); the manipulable baseline is refuted, including the
@@ -52,6 +53,7 @@ from flp import (
     sp_scan,
 )
 from flp.cli import ExitCode, main
+from enumeration import enumerated_optimum
 from pair_cost import lemma_pair_cost_consistent
 
 FAMILIES = (
@@ -245,26 +247,40 @@ def test_c5_median_window_ratio_bounds():
 
 def test_c6_fast_solver_matches_enumeration():
     failures = []
-    checked = 0
-    for n in range(2, 10):
-        for k in range(2, min(5, n) + 1):
-            for inst in mixed_instances(
-                Variant.SUM, n, k, per_family=97, seed=700 + 10 * n + k
-            ):
-                checked += 1
-                fast = fast_optimal_sum(inst)
-                brute = brute_force_optimal(inst)
-                if fast.cost != brute.cost or social_cost(inst, fast.solution) != fast.cost:
-                    failures.append(
-                        f"n={n} k={k} {inst.locations}: fast {fast.cost} vs "
-                        f"enumeration {brute.cost}"
-                    )
-                    break
-    assert checked >= 10_000
+    checked = dict.fromkeys(Variant, 0)
+    for variant in Variant:
+        for n in range(2, 10):
+            for k in range(2, min(5, n) + 1):
+                for inst in mixed_instances(
+                    variant, n, k, per_family=97, seed=700 + 10 * n + k
+                ):
+                    checked[variant] += 1
+                    oracle = enumerated_optimum(inst)
+                    exact = brute_force_optimal(inst)
+                    if exact != oracle:
+                        failures.append(
+                            f"{variant.value} n={n} k={k} {inst.locations}: "
+                            f"exact {exact} vs enumeration {oracle}"
+                        )
+                        break
+                    if variant is Variant.SUM:
+                        fast = fast_optimal_sum(inst)
+                        if (
+                            fast.cost != oracle.cost
+                            or social_cost(inst, fast.solution) != fast.cost
+                        ):
+                            failures.append(
+                                f"sum n={n} k={k} {inst.locations}: fast "
+                                f"{fast.cost} vs enumeration {oracle.cost}"
+                            )
+                            break
+    assert min(checked.values()) >= 10_000
     conclude(
-        "criterion 6: fast sum solver equals enumeration",
+        "criterion 6: exact and fast solvers equal enumeration",
         failures,
-        f"{checked} random instances (n 2-9, k 2-5), costs identical",
+        f"{checked[Variant.SUM]} sum and {checked[Variant.MAX]} max random "
+        "instances (n 2-9, k 2-5): exact host sets and costs, fast sum costs "
+        "identical",
     )
 
 

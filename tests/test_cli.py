@@ -394,6 +394,29 @@ class TestRatioSweep:
         _, max_ratio = read_sweep_csv(out_path.read_text())
         assert max_ratio is not None and max_ratio <= F(14, 8)  # (3n-1)/(2n-2)
 
+    def test_large_max_shape_is_solved(self, capsys):
+        # C(25, 7) = 480,700 host sets; the optimum never enumerates them.
+        code, out, _ = run_cli(
+            [
+                "ratio-sweep",
+                "--mech",
+                "median-ball",
+                "--variant",
+                "max",
+                "--n",
+                "25",
+                "--k",
+                "7",
+                "--trials",
+                "1",
+            ],
+            capsys,
+        )
+        assert code == ExitCode.OK
+        rows, max_ratio = read_sweep_csv(out)
+        assert len(rows) == 1
+        assert 1 <= max_ratio <= 8  # median-ball's max ceiling k + 1
+
 
 class TestSearch:
     def test_search_record(self, capsys):

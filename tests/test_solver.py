@@ -1,13 +1,12 @@
-"""Optimal-solver tests: exhaustive enumeration, the fast sum solver, and
-their equivalence.
+"""Optimal-solver tests: the exact optimum, the fast sum solver, and their
+equivalence.
 
 Brute-force expectations below were hand-computed by listing every feasible
-host set; the fast solver is checked against those same frozen values and,
-property-style, against the enumerator on random instances.
+host set; both solvers are checked against those same frozen values and,
+property-style, against the enumeration oracle on random instances.
 """
 
 import itertools
-import math
 from fractions import Fraction as F
 
 import pytest
@@ -15,18 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flp import (
-    DEFAULT_BUDGET,
-    EnumerationBudgetError,
-    InputError,
+    Family,
+    GenSpec,
     Instance,
     Solution,
     UnsupportedVariantError,
     Variant,
     brute_force_optimal,
-    enumeration_budget,
     fast_optimal_sum,
+    generate,
     social_cost,
 )
+from enumeration import enumerated_optimum
 
 
 def sum_inst(*locs, k=2):
@@ -107,39 +106,25 @@ class TestBruteForce:
         costs = [social_cost(inst, s) for s in all_solutions(inst)]
         assert opt.cost == min(costs)
         assert social_cost(inst, opt.solution) == opt.cost
+        assert opt == enumerated_optimum(inst)
 
-
-class TestEnumerationBudget:
-    def test_default_budget(self):
-        assert DEFAULT_BUDGET == math.comb(20, 6)
-        assert enumeration_budget() == DEFAULT_BUDGET
-
-    def test_budget_exceeded_sum_hints_at_fast_solver(self, monkeypatch):
-        monkeypatch.setenv("FLP_BUDGET", "2")
-        with pytest.raises(EnumerationBudgetError, match="fast_optimal_sum"):
-            brute_force_optimal(sum_inst(0, 1, 3))
-
-    def test_budget_exceeded_max_has_no_hint(self, monkeypatch):
-        monkeypatch.setenv("FLP_BUDGET", "2")
-        with pytest.raises(EnumerationBudgetError) as err:
-            brute_force_optimal(max_inst(0, 1, 3))
-        assert "fast_optimal_sum" not in str(err.value)
-
-    def test_budget_equal_to_count_is_allowed(self, monkeypatch):
-        monkeypatch.setenv("FLP_BUDGET", "3")
-        assert brute_force_optimal(sum_inst(0, 1, 3)).cost == 7
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("FLP_BUDGET", "5")
-        assert enumeration_budget() == 5
-        with pytest.raises(EnumerationBudgetError):
-            brute_force_optimal(sum_inst(0, 1, 2, 3))  # 6 candidates > 5
-
-    def test_env_malformed(self, monkeypatch):
-        for bad in ("abc", "-3", "0", "1.5"):
-            monkeypatch.setenv("FLP_BUDGET", bad)
-            with pytest.raises(InputError):
-                enumeration_budget()
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_large_shape_needs_no_enumeration(self, variant):
+        # C(200, 6) is about 8e10 host sets.
+        spec = GenSpec(
+            Family.UNIFORM_GRID,
+            n=200,
+            k=6,
+            variant=variant,
+            seed=3,
+            hi=50,
+            denominator=10,
+        )
+        (inst,) = generate(spec, 1)
+        opt = brute_force_optimal(inst)
+        assert social_cost(inst, opt.solution) == opt.cost
+        if variant is Variant.SUM:
+            assert fast_optimal_sum(inst).cost == opt.cost
 
 
 class TestFastOptimalSum:

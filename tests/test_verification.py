@@ -19,7 +19,6 @@ import pytest
 
 import flp
 from flp import (
-    EnumerationBudgetError,
     Family,
     GenSpec,
     InputError,
@@ -278,8 +277,8 @@ def test_invariant_checks_survive_python_optimize():
         v.brute_force_optimal = optimum(10)
         ratio = fires(lambda: v.approx_ratio(mech, inst))
 
-        # k > n slips past validation only when it is bypassed; nothing is
-        # enumerated then.
+        # k > n slips past validation only when it is bypassed; no host set
+        # exists then.
         empty = object.__new__(Instance)
         for name, value in (("locations", (0, 1)), ("k", 3), ("variant", Variant.SUM)):
             object.__setattr__(empty, name, value)
@@ -330,13 +329,6 @@ class TestApproxRatio:
         assert report.mech_cost == mech_cost == F(22, 3)
         assert report.opt_cost == 7
         assert report.ratio == F(22, 21)
-
-    def test_env_budget_applies(self, monkeypatch):
-        monkeypatch.setenv("FLP_BUDGET", "2")
-        with pytest.raises(EnumerationBudgetError):
-            approx_ratio(MechanismId.MEDIAN_RIGHT, sum_inst(0, 1, 2))
-        monkeypatch.setenv("FLP_BUDGET", "3")
-        assert approx_ratio(MechanismId.MEDIAN_RIGHT, sum_inst(0, 1, 2)).ratio == 1
 
 
 class TestWorstRatioSearch:
