@@ -417,6 +417,30 @@ class TestRatioSweep:
         assert len(rows) == 1
         assert 1 <= max_ratio <= 8  # median-ball's max ceiling k + 1
 
+    def test_large_sum_shape_is_solved(self, capsys):
+        # C(30, 6) = 593,775 host sets, far past the old C(20, 6) limit.
+        code, out, _ = run_cli(
+            [
+                "ratio-sweep",
+                "--mech",
+                "median-ball",
+                "--variant",
+                "sum",
+                "--n",
+                "30",
+                "--k",
+                "6",
+                "--trials",
+                "1",
+            ],
+            capsys,
+        )
+        assert code == ExitCode.OK
+        rows, max_ratio = read_sweep_csv(out)
+        assert len(rows) == 1
+        assert rows[0]["mech_cost"] == rows[0]["opt_cost"]
+        assert max_ratio == 1
+
 
 class TestSearch:
     def test_search_record(self, capsys):

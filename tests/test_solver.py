@@ -17,6 +17,7 @@ from flp import (
     Family,
     GenSpec,
     Instance,
+    OptResult,
     Solution,
     UnsupportedVariantError,
     Variant,
@@ -98,6 +99,31 @@ class TestBruteForce:
         inst = max_inst(0, F(1, 3), 2, 5, k=3)
         opt = brute_force_optimal(inst)
         assert social_cost(inst, opt.solution) == opt.cost
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_k_equals_n_hosts_every_agent(self, variant):
+        # One host set exists; under max the scan sees only the pair (0, n-1).
+        inst = Instance((7, 0, F(5, 2), 3), 4, variant)
+        opt = brute_force_optimal(inst)
+        assert opt.solution == Solution.of(0, 1, 2, 3)
+        assert opt.cost == social_cost(inst, opt.solution)
+        assert opt.cost == (43 if variant is Variant.SUM else F(45, 2))
+
+    def test_max_tie_between_outer_pairs_takes_first_pair(self):
+        # Outer pairs (0, 2) and (1, 3) both cost 8; hosts 0 .. a+k-2 plus b
+        # of the first pair win, not those of the later one.
+        inst = max_inst(0, 1, 2, 3, k=3)
+        opt = brute_force_optimal(inst)
+        assert social_cost(inst, Solution.of(1, 2, 3)) == opt.cost == 8
+        assert opt.solution == Solution.of(0, 1, 2)
+
+    @pytest.mark.parametrize("value", ["1", "not-a-number"])
+    def test_budget_variable_is_ignored(self, monkeypatch, value):
+        # FLP_BUDGET once capped C(n, k); nothing reads it any more, so
+        # neither a tiny nor a malformed value refuses or fails a shape.
+        monkeypatch.setenv("FLP_BUDGET", value)
+        inst = sum_inst(0, 1, 3)
+        assert brute_force_optimal(inst) == OptResult(Solution.of(0, 1), 7)
 
     @given(instances(max_n=6))
     @settings(max_examples=40)
