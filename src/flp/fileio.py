@@ -128,20 +128,17 @@ def dual(value: Coord) -> tuple[str, float]:
 
 
 def lottery_to_list(inst: Instance, lottery: Lottery) -> list[dict[str, Any]]:
-    entries = []
-    for sol, p in lottery.support:
-        p_str, p_float = dual(p)
-        entries.append(
-            {
-                "agents": list(sol.sorted_hosts()),
-                "coordinates": [coord_str(c) for c in sol.coords(inst)],
-                "probability": p_str,
-                "probability_float": p_float,
-            }
-        )
-    # Deterministic entry order: by coordinates, then by agent indices.
-    entries.sort(key=lambda e: (e["coordinates"], e["agents"]))
-    return entries
+    # Deterministic entry order: by exact coordinates, then by agent indices.
+    support = sorted((s.coords(inst), s.sorted_hosts(), p) for s, p in lottery.support)
+    return [
+        {
+            "agents": list(hosts),
+            "coordinates": [coord_str(c) for c in coords],
+            "probability": coord_str(p),
+            "probability_float": float_15(p),
+        }
+        for coords, hosts, p in support
+    ]
 
 
 def write_record(record: dict[str, Any], out: TextIO) -> None:

@@ -136,13 +136,18 @@ class TestDualRepresentation:
         assert float_15(F(22, 21)) == 1.04761904761905
 
     def test_lottery_entries_sorted_and_dual(self):
-        inst = Instance((0, 1, 3), 2, Variant.SUM)
         lot = Lottery(((Solution.of(1, 2), F(1, 3)), (Solution.of(0, 1), F(2, 3))))
-        entries = lottery_to_list(inst, lot)
-        assert [e["coordinates"] for e in entries] == [["0", "1"], ["1", "3"]]
-        assert entries[0]["probability"] == "2/3"
-        assert entries[0]["probability_float"] == 0.666666666666667
-        assert entries[1]["agents"] == [1, 2]
+        # As strings "10" < "9" and "-2" < "-3"; entries follow the numbers.
+        for locs in ((0, 1, 3), (9, 10, 11), (-3, -2, -1)):
+            inst = Instance(locs, 2, Variant.SUM)
+            entries = lottery_to_list(inst, lot)
+            assert [e["coordinates"] for e in entries] == [
+                [str(locs[0]), str(locs[1])],
+                [str(locs[1]), str(locs[2])],
+            ]
+            assert entries[0]["probability"] == "2/3"
+            assert entries[0]["probability_float"] == 0.666666666666667
+            assert entries[1]["agents"] == [1, 2]
 
 
 class TestRecordsAndSweeps:

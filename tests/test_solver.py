@@ -85,15 +85,33 @@ class TestBruteForce:
         assert opt.solution == Solution.of(0, 1)
         assert opt.cost == 0
 
-    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
-    def test_unsorted_tie_goes_to_leftmost_sorted_positions(self, variant):
-        # Sorted order is agents 1, 2 (at 0) then 0, 3 (at 3).  {1, 2} and
-        # {0, 3} tie under both variants (every pair does under sum); the
-        # first pair over sorted positions wins, not the first by index.
-        inst = Instance((3, 0, 0, 3), 2, variant)
+    @pytest.mark.parametrize(
+        "locs, variant, hosts, rival, cost",
+        [
+            # Sorted order is agents 1, 2 (at 0) then 0, 3 (at 3).  {1, 2}
+            # and {0, 3} tie under both variants (every pair does under
+            # sum); the first pair over sorted positions wins, not the first
+            # by index.
+            pytest.param((3, 0, 0, 3), Variant.SUM, (1, 2), (0, 3), 12, id="sum"),
+            pytest.param((3, 0, 0, 3), Variant.MAX, (1, 2), (0, 3), 6, id="max"),
+            # Under sum the first optimal set, sorted positions {0, 2}, is no
+            # window; only its coordinates (0, 1) are, as is the window
+            # {1, 2}.  Under max the first window {0, 1} wins outright.
+            pytest.param(
+                (0, 0, 1, 2, 2), Variant.SUM, (0, 2), (1, 2), 9, id="sum-coincident"
+            ),
+            pytest.param(
+                (0, 0, 1, 2, 2), Variant.MAX, (0, 1), (3, 4), 5, id="max-coincident"
+            ),
+        ],
+    )
+    def test_unsorted_tie_goes_to_leftmost_sorted_positions(
+        self, locs, variant, hosts, rival, cost
+    ):
+        inst = Instance(locs, 2, variant)
         opt = brute_force_optimal(inst)
-        assert social_cost(inst, Solution.of(0, 3)) == opt.cost
-        assert opt.solution == Solution.of(1, 2)
+        assert social_cost(inst, Solution.of(*rival)) == opt.cost == cost
+        assert opt.solution == Solution.of(*hosts)
 
     def test_cost_matches_certificate(self):
         inst = max_inst(0, F(1, 3), 2, 5, k=3)
@@ -102,7 +120,7 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_k_equals_n_hosts_every_agent(self, variant):
-        # One host set exists; under max the scan sees only the pair (0, n-1).
+        # One host set exists; the scan sees only the window 0 .. n-1.
         inst = Instance((7, 0, F(5, 2), 3), 4, variant)
         opt = brute_force_optimal(inst)
         assert opt.solution == Solution.of(0, 1, 2, 3)
@@ -110,8 +128,7 @@ class TestBruteForce:
         assert opt.cost == (43 if variant is Variant.SUM else F(45, 2))
 
     def test_max_tie_between_outer_pairs_takes_first_pair(self):
-        # Outer pairs (0, 2) and (1, 3) both cost 8; hosts 0 .. a+k-2 plus b
-        # of the first pair win, not those of the later one.
+        # Windows 0 .. 2 and 1 .. 3 both cost 8; the first window wins.
         inst = max_inst(0, 1, 2, 3, k=3)
         opt = brute_force_optimal(inst)
         assert social_cost(inst, Solution.of(1, 2, 3)) == opt.cost == 8
@@ -134,12 +151,19 @@ class TestBruteForce:
         assert social_cost(inst, opt.solution) == opt.cost
         assert opt == enumerated_optimum(inst)
 
-    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
-    def test_large_shape_needs_no_enumeration(self, variant):
-        # C(200, 6) is about 8e10 host sets.
+    @pytest.mark.parametrize(
+        "variant, n",
+        [
+            pytest.param(Variant.SUM, 200, id="sum"),
+            pytest.param(Variant.MAX, 200, id="max"),
+            pytest.param(Variant.MAX, 5000, id="max-5000"),
+        ],
+    )
+    def test_large_shape_needs_no_enumeration(self, variant, n):
+        # C(200, 6) is about 8e10 host sets and C(5000, 6) about 2e19.
         spec = GenSpec(
             Family.UNIFORM_GRID,
-            n=200,
+            n=n,
             k=6,
             variant=variant,
             seed=3,

@@ -7,6 +7,7 @@ candidates, public cost API, no rescaling): both must flag the same first
 violation or both none.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -243,6 +244,18 @@ class TestScannerMatchesReference:
                 )
                 want, evaluated = naive_first_violation(mech, inst, grid_points=40)
                 assert (got, scan.evaluated, scan.skipped) == (want, evaluated, 0)
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips every assert, so invariants raise InvariantError.
+    package = Path(flp.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_invariant_checks_survive_python_optimize():
