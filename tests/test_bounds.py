@@ -68,6 +68,46 @@ class TestDeclaredValues:
             assert bound is None or (isinstance(bound, F) and bound >= 1)
 
 
+# The README's "declared ratio ceiling" column, one entry per claimed
+# (mechanism, variant) pair; every other pair claims nothing.
+_README_CEILINGS = {
+    (MechanismId.TWO_MEDIANS, Variant.SUM): lambda n, k: 1,
+    (MechanismId.MEDIAN_RIGHT, Variant.SUM): lambda n, k: (
+        1 if n % 2 == 0 else F(n, n - 1)
+    ),
+    (MechanismId.MEDIAN_RIGHT, Variant.MAX): lambda n, k: (
+        2 if n % 2 == 0 else F(2 * n, n - 1)
+    ),
+    (MechanismId.MEDIAN_LEFT, Variant.SUM): lambda n, k: (
+        None if n % 2 == 0 else F(n, n - 1)
+    ),
+    (MechanismId.MEDIAN_LEFT, Variant.MAX): lambda n, k: (
+        None if n % 2 == 0 else F(2 * n, n - 1)
+    ),
+    (MechanismId.UNIFORM, Variant.MAX): lambda n, k: F(3 * n - 1, 2 * n - 2),
+    (MechanismId.REVERSE_PROPORTIONAL, Variant.SUM): lambda n, k: (
+        F(1_055_728_090_001, 10**12)
+    ),
+    (MechanismId.MEDIAN_BALL, Variant.SUM): lambda n, k: 2,
+    (MechanismId.MEDIAN_BALL, Variant.MAX): lambda n, k: k + 1,
+    (MechanismId.AUTO_SUM, Variant.SUM): lambda n, k: (
+        1 if n % 2 == 0 else F(1_055_728_090_001, 10**12)
+    ),
+    (MechanismId.OPT_SUM_BASELINE, Variant.SUM): lambda n, k: 1,
+}
+
+
+@pytest.mark.parametrize("mech", list(MechanismId), ids=lambda m: m.value)
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_declared_bound_matches_readme_column(mech, variant):
+    ceiling = _README_CEILINGS.get((mech, variant), lambda n, k: None)
+    for n in range(2, 13):
+        for k in range(2, min(n, 5) + 1):
+            want = ceiling(n, k)
+            got = declared_bound(mech, variant, n, k)
+            assert got == want and (want is None or isinstance(got, F)), (n, k)
+
+
 class TestRpBoundConstant:
     def test_strictly_exceeds_the_irrational_constant(self):
         # RP_BOUND > 10 - 4*sqrt(5)  <=>  (10 - RP_BOUND)^2 < 80,
