@@ -1,8 +1,9 @@
 """Declared worst-case approximation bounds and strategyproofness claims.
 
-Each entry gives the guaranteed ceiling on expected-social-cost / optimum for
-a (mechanism, variant) pair as an exact function of n and k, or None when no
-guarantee is claimed (sweeping such a pair never trips the bound check).
+Each row gives the guaranteed ceiling on expected-social-cost / optimum for
+a (mechanism, variant) pair at even n and at odd n: an exact constant, an
+exact function of (n, k), or None when no guarantee is claimed (sweeping
+such a configuration never trips the bound check).
 The same rows, minus the optimal-cost baseline, are the pairs claimed to be
 strategyproof.
 
@@ -14,7 +15,7 @@ so an exact ratio that meets the true bound always passes.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .mechanisms import MechanismId
 from .model import Variant
@@ -23,62 +24,37 @@ RP_BOUND = Fraction(1_055_728_090_001, 10**12)
 """Rational over-approximation (12 correct digits) of the tight
 reverse-proportional constant, which is approximately 1.0557280900."""
 
-BoundFn = Callable[[int, int], Optional[Fraction]]
+_Ceiling = Union[Fraction, Callable[[int, int], Fraction], None]
+"""A ratio ceiling: a constant, a function of (n, k), or None for no claim."""
 
-
-def _one(n: int, k: int) -> Fraction:
-    return Fraction(1)
-
-
-def _median_pair_sum(n: int, k: int) -> Fraction:
-    # Even n: the mechanism opens the two medians, which is sum-optimal.
-    return Fraction(1) if n % 2 == 0 else Fraction(n, n - 1)
-
-
-def _median_pair_sum_odd_only(n: int, k: int) -> Optional[Fraction]:
-    return Fraction(n, n - 1) if n % 2 == 1 else None
-
-
-def _median_pair_max(n: int, k: int) -> Fraction:
-    return Fraction(2) if n % 2 == 0 else Fraction(2 * n, n - 1)
-
-
-def _median_pair_max_odd_only(n: int, k: int) -> Optional[Fraction]:
-    return Fraction(2 * n, n - 1) if n % 2 == 1 else None
-
-
-def _uniform_max(n: int, k: int) -> Fraction:
-    return Fraction(3 * n - 1, 2 * n - 2)
-
-
-def _rp_bound(n: int, k: int) -> Fraction:
-    return RP_BOUND
-
-
-def _auto_sum(n: int, k: int) -> Fraction:
-    return Fraction(1) if n % 2 == 0 else RP_BOUND
-
-
-def _ball_sum(n: int, k: int) -> Fraction:
-    return Fraction(2)
-
-
-def _ball_max(n: int, k: int) -> Fraction:
-    return Fraction(k + 1)
-
-
-BOUND_TABLE: dict[tuple[MechanismId, Variant], BoundFn] = {
-    (MechanismId.TWO_MEDIANS, Variant.SUM): _one,
-    (MechanismId.MEDIAN_RIGHT, Variant.SUM): _median_pair_sum,
-    (MechanismId.MEDIAN_RIGHT, Variant.MAX): _median_pair_max,
-    (MechanismId.MEDIAN_LEFT, Variant.SUM): _median_pair_sum_odd_only,
-    (MechanismId.MEDIAN_LEFT, Variant.MAX): _median_pair_max_odd_only,
-    (MechanismId.UNIFORM, Variant.MAX): _uniform_max,
-    (MechanismId.REVERSE_PROPORTIONAL, Variant.SUM): _rp_bound,
-    (MechanismId.MEDIAN_BALL, Variant.SUM): _ball_sum,
-    (MechanismId.MEDIAN_BALL, Variant.MAX): _ball_max,
-    (MechanismId.AUTO_SUM, Variant.SUM): _auto_sum,
-    (MechanismId.OPT_SUM_BASELINE, Variant.SUM): _one,
+BOUND_TABLE: dict[tuple[MechanismId, Variant], tuple[_Ceiling, _Ceiling]] = {
+    # (mechanism, variant): (ceiling at even n, ceiling at odd n)
+    (MechanismId.TWO_MEDIANS, Variant.SUM): (Fraction(1), Fraction(1)),
+    (MechanismId.MEDIAN_RIGHT, Variant.SUM): (
+        Fraction(1),
+        lambda n, k: Fraction(n, n - 1),
+    ),
+    (MechanismId.MEDIAN_RIGHT, Variant.MAX): (
+        Fraction(2),
+        lambda n, k: Fraction(2 * n, n - 1),
+    ),
+    (MechanismId.MEDIAN_LEFT, Variant.SUM): (None, lambda n, k: Fraction(n, n - 1)),
+    (MechanismId.MEDIAN_LEFT, Variant.MAX): (
+        None,
+        lambda n, k: Fraction(2 * n, n - 1),
+    ),
+    (MechanismId.UNIFORM, Variant.MAX): (
+        lambda n, k: Fraction(3 * n - 1, 2 * n - 2),
+        lambda n, k: Fraction(3 * n - 1, 2 * n - 2),
+    ),
+    (MechanismId.REVERSE_PROPORTIONAL, Variant.SUM): (RP_BOUND, RP_BOUND),
+    (MechanismId.MEDIAN_BALL, Variant.SUM): (Fraction(2), Fraction(2)),
+    (MechanismId.MEDIAN_BALL, Variant.MAX): (
+        lambda n, k: Fraction(k + 1),
+        lambda n, k: Fraction(k + 1),
+    ),
+    (MechanismId.AUTO_SUM, Variant.SUM): (Fraction(1), RP_BOUND),
+    (MechanismId.OPT_SUM_BASELINE, Variant.SUM): (Fraction(1), Fraction(1)),
 }
 
 
@@ -87,8 +63,9 @@ def declared_bound(
 ) -> Optional[Fraction]:
     """The guaranteed ratio ceiling for this configuration, or None if the
     mechanism makes no claim for this variant (or this parity of n)."""
-    fn = BOUND_TABLE.get((mech, variant))
-    return None if fn is None else fn(n, k)
+    row = BOUND_TABLE.get((mech, variant))
+    ceiling = None if row is None else row[n % 2]
+    return ceiling(n, k) if callable(ceiling) else ceiling
 
 
 def is_strategyproof(mech: MechanismId, variant: Variant | None = None) -> bool:

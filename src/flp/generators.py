@@ -20,6 +20,12 @@ from .errors import InfeasibleError, InputError
 from .model import Coord, Instance, Variant, as_coord
 
 
+_CLUSTERS = 2
+"""Number of integer centres in the clustered family."""
+_SPREAD = Fraction(1, 2)
+"""Largest distance of a clustered agent from its centre."""
+
+
 class Family(enum.Enum):
     """Instance families, from generic to deliberately degenerate."""
 
@@ -34,8 +40,7 @@ class GenSpec:
     """Parameters of one generation run.
 
     ``lo``/``hi`` bound the coordinate range.  ``denominator`` sets the
-    lattice for non-integer families, ``clusters``/``spread`` shape the
-    clustered family, and every draw descends from ``seed``.
+    lattice for non-integer families, and every draw descends from ``seed``.
     """
 
     family: Family
@@ -46,23 +51,16 @@ class GenSpec:
     lo: Coord = 0
     hi: Coord = 10
     denominator: int = 100
-    clusters: int = 2
-    spread: Coord = Fraction(1, 2)
 
     def __post_init__(self) -> None:
         if not isinstance(self.family, Family):
             raise InputError(f"family must be a Family, got {self.family!r}")
         object.__setattr__(self, "lo", as_coord(self.lo))
         object.__setattr__(self, "hi", as_coord(self.hi))
-        object.__setattr__(self, "spread", as_coord(self.spread))
         if self.lo > self.hi:
             raise InputError(f"invalid range: lo={self.lo} > hi={self.hi}")
         if self.denominator < 1:
             raise InputError(f"denominator must be >= 1, got {self.denominator}")
-        if self.clusters < 1:
-            raise InputError(f"clusters must be >= 1, got {self.clusters}")
-        if self.spread < 0:
-            raise InputError(f"spread must be >= 0, got {self.spread}")
         if self.n < 2:
             raise InfeasibleError(f"need at least 2 agents, got n={self.n}")
         if not 2 <= self.k <= self.n:
@@ -101,8 +99,8 @@ def _draw_locations(spec: GenSpec, rng: random.Random) -> list[Coord]:
         ]
 
     if spec.family is Family.CLUSTERED:
-        centres = [_lattice_draw(rng, spec.lo, spec.hi, 1) for _ in range(spec.clusters)]
-        jitter_cap = math.floor(spec.spread * spec.denominator)
+        centres = [_lattice_draw(rng, spec.lo, spec.hi, 1) for _ in range(_CLUSTERS)]
+        jitter_cap = math.floor(_SPREAD * spec.denominator)
         locs: list[Coord] = []
         for _ in range(spec.n):
             centre = rng.choice(centres)

@@ -133,7 +133,7 @@ def _auto_sum(xs: Sequence[Coord], k: int, variant: Variant) -> RuleOutput:
 def _opt_sum_baseline(xs: Sequence[Coord], k: int, variant: Variant) -> RuleOutput:
     """Point mass on the exact sum-variant optimum.  Cost-perfect but
     manipulable; kept as the refuter's negative control.  Sum variant only."""
-    require_sum_variant(variant)
+    require_sum_variant(variant, "opt-sum-baseline")
     return 1, ((optimal_sum_window(xs, k), 1),)
 
 
@@ -167,13 +167,15 @@ def apply(mech: MechanismId | str, inst: Instance) -> Lottery:
 
     The rule sees the reports in stable sorted order, so coincident reports
     resolve by agent index; its positions map back to agents through
-    :func:`~flp.model.order_stats`.
+    :func:`~flp.model.order_stats`.  The returned lottery passes
+    :class:`~flp.model.Lottery`'s checks, so a rule whose weights do not sum
+    to its denominator raises InvariantError.
     """
     rule = position_rule(mech)
     order = order_stats(inst)
     locs = inst.locations
     den, outcomes = rule([locs[i] for i in order], inst.k, inst.variant)
-    return Lottery._trusted(
+    return Lottery(
         tuple(
             (
                 Solution(frozenset(order[p] for p in positions)),

@@ -37,24 +37,17 @@ def as_coord(value: object) -> Coord:
     or ratio ("3/2", "-1/2") form.  Decimal strings parse exactly, never
     through binary floating point.  Floats are rejected.
     """
-    if isinstance(value, bool):
-        raise InputError(f"not a coordinate: {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else value
     if isinstance(value, str):
         try:
-            parsed = Fraction(value)
+            value = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"cannot parse {value!r} as a rational number") from exc
-        return int(parsed) if parsed.denominator == 1 else parsed
-    if isinstance(value, float):
+    elif isinstance(value, float):
         raise InputError(
             f"refusing float {value!r}: pass an int, Fraction, or string so the "
             "value stays exact"
         )
-    raise InputError(f"cannot interpret {value!r} as a rational coordinate")
+    return _require_coord(value, "coordinate")
 
 
 def coord_str(value: Coord) -> str:
@@ -105,20 +98,6 @@ class Instance:
             raise InfeasibleError(f"infeasible: k exceeds n (k={self.k}, n={n})")
         if not isinstance(self.variant, Variant):
             raise InputError(f"variant must be a Variant, got {self.variant!r}")
-
-    @classmethod
-    def from_values(
-        cls, values: Iterable[object], k: int, variant: Variant | str
-    ) -> "Instance":
-        """Build an instance, parsing coordinates and the variant leniently."""
-        if isinstance(variant, str):
-            try:
-                variant = Variant(variant.lower())
-            except ValueError:
-                raise InputError(
-                    f"unknown variant {variant!r} (expected 'sum' or 'max')"
-                ) from None
-        return cls(tuple(as_coord(v) for v in values), k, variant)
 
     @property
     def n(self) -> int:
@@ -218,17 +197,7 @@ class Lottery:
 
     @classmethod
     def point_mass(cls, sol: Solution) -> "Lottery":
-        return cls._trusted(((sol, 1),))
-
-    @classmethod
-    def _trusted(cls, support: tuple[tuple[Solution, Prob], ...]) -> "Lottery":
-        """Internal fast path for construction sites that guarantee the
-        invariants (used by mechanisms, which run in tight verification
-        loops).  Zero-probability entries are still dropped."""
-        kept = tuple(entry for entry in support if entry[1] != 0)
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "support", kept)
-        return obj
+        return cls(((sol, 1),))
 
 
 def point_cost(

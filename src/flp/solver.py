@@ -79,12 +79,12 @@ def brute_force_optimal(inst: Instance) -> OptResult:
     return OptResult(Solution(frozenset(order[p] for p in positions)), cost)
 
 
-def require_sum_variant(variant: Variant) -> None:
-    """Raise UnsupportedVariantError unless ``variant`` is SUM."""
+def require_sum_variant(variant: Variant, name: str) -> None:
+    """Raise UnsupportedVariantError, naming the caller ``name``, unless
+    ``variant`` is SUM."""
     if variant is not Variant.SUM:
         raise UnsupportedVariantError(
-            "fast_optimal_sum only handles the sum variant; use "
-            "brute_force_optimal for max"
+            f"{name} only handles the sum variant, got {variant.value}"
         )
 
 
@@ -117,7 +117,7 @@ def fast_optimal_sum(inst: Instance) -> OptResult:
     """Optimal SUM-variant solution from the median windows alone: the
     positions chosen by :func:`optimal_sum_window`, mapped to agents through
     the stable sort order."""
-    require_sum_variant(inst.variant)
+    require_sum_variant(inst.variant, "fast_optimal_sum")
     order = order_stats(inst)
     locs = inst.locations
     positions = optimal_sum_window([locs[i] for i in order], inst.k)

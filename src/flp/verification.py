@@ -164,12 +164,13 @@ def sp_scan(mech: MechanismId, inst: Instance, grid_points: int = 200) -> SpScan
     validated :func:`~flp.mechanisms.apply` path before it is reported, so
     a returned violation is always genuine.
     """
-    apply(mech, inst)  # surface precondition problems on the honest profile
     rule = position_rule(mech)
     k, variant = inst.k, inst.variant
     scale, locs, cands = _scaled_candidates(inst, grid_points)
     superset = sorted(cands.union(locs))
     honest_xs = sorted(locs)
+    # A failed precondition raises here as it would in apply: every rule's
+    # precondition depends on n, k and the variant alone.
     honest_den, honest = rule(honest_xs, k, variant)
 
     evaluated = 0

@@ -167,6 +167,7 @@ class TestMech:
             capsys,
         )
         assert code == ExitCode.PRECONDITION
+        assert err == "error: opt-sum-baseline only handles the sum variant, got max\n"
 
     def test_unknown_mechanism_exits_1(self, sum_triple, capsys):
         code, _, _ = run_cli(

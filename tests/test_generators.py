@@ -58,7 +58,7 @@ class TestFamilies:
                 assert F(x).denominator in (1, 2, 5, 10)  # divides 10
 
     def test_clustered_stays_near_centres(self):
-        s = spec(Family.CLUSTERED, n=8, lo=0, hi=10, spread=F(1, 2), denominator=4)
+        s = spec(Family.CLUSTERED, n=8, lo=0, hi=10, denominator=4)
         for inst in generate(s, 25):
             for x in inst.locations:
                 assert -F(1, 2) <= x <= 10 + F(1, 2)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from flp import (
     InputError,
     Instance,
+    InvariantError,
     Lottery,
     MechanismId,
     MechanismPreconditionError,
@@ -277,6 +278,16 @@ class TestApply:
     def test_unknown_name(self):
         with pytest.raises(InputError, match="unknown mechanism"):
             apply("nearest-neighbour", sum_inst(0, 1))
+
+    def test_rule_weights_over_the_denominator_raise(self, monkeypatch):
+        import flp.mechanisms as mechanisms
+
+        def overweight(xs, k, variant):
+            return 2, (((0, 1), 1), ((1, 2), 2))
+
+        monkeypatch.setitem(mechanisms._RULES, MechanismId.UNIFORM, overweight)
+        with pytest.raises(InvariantError, match="sum to 3/2"):
+            apply(MechanismId.UNIFORM, sum_inst(0, 1, 2))
 
     def test_every_id_dispatches(self):
         even = sum_inst(0, 1, 2, 3)

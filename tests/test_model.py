@@ -116,15 +116,6 @@ class TestInstanceValidation:
         with pytest.raises(InputError):
             Instance((0.5, 1, 2), 2, Variant.SUM)
 
-    def test_from_values_parses_strings(self):
-        inst = Instance.from_values(["-1/2", "0", "1.5"], 2, "max")
-        assert inst.locations == (F(-1, 2), 0, F(3, 2))
-        assert inst.variant is Variant.MAX
-
-    def test_from_values_unknown_variant(self):
-        with pytest.raises(InputError):
-            Instance.from_values([0, 1], 2, "median")
-
     def test_locations_normalised(self):
         inst = Instance((F(4, 2), 1), 2, Variant.SUM)
         assert inst.locations == (2, 1)

@@ -143,6 +143,14 @@ class TestSpScan:
         with pytest.raises(MechanismPreconditionError):
             sp_scan(MechanismId.TWO_MEDIANS, sum_inst(0, 1, 2))
 
+    def test_median_left_on_two_agents_raises(self):
+        with pytest.raises(MechanismPreconditionError, match="left neighbour"):
+            sp_scan(MechanismId.MEDIAN_LEFT, sum_inst(0, 1))
+
+    def test_baseline_on_max_instance_raises(self):
+        with pytest.raises(UnsupportedVariantError, match="opt-sum-baseline"):
+            sp_scan(MechanismId.OPT_SUM_BASELINE, max_inst(0, 1, 2))
+
     def test_evaluated_counts_all_pairs(self):
         # Superset for (0, 1, 2) without grid: {-2, 0, 1/2, 1, 3/2, 2, 4};
         # each of the 3 agents skips its own report: 3 * 6 evaluations.
