@@ -298,6 +298,51 @@ class TestApply:
             assert sum(p for _, p in lot.support) == 1
 
 
+def _k2_then(n_check):
+    """A k=2 precondition followed by a check on n alone."""
+    return lambda n, k: "k=2" if k != 2 else n_check(n)
+
+
+# The README's "preconditions" column: the message fragment of the first
+# failed check at (n, k), or None where the mechanism runs.  The baseline
+# also refuses the max variant outright.
+_README_PRECONDITIONS = {
+    MechanismId.TWO_MEDIANS: _k2_then(lambda n: "even number" if n % 2 else None),
+    MechanismId.MEDIAN_RIGHT: _k2_then(lambda n: None),
+    MechanismId.MEDIAN_LEFT: _k2_then(lambda n: "left neighbour" if n < 3 else None),
+    MechanismId.UNIFORM: _k2_then(lambda n: None if n % 2 else "odd number"),
+    MechanismId.REVERSE_PROPORTIONAL: _k2_then(
+        lambda n: None if n % 2 else "odd number"
+    ),
+    MechanismId.MEDIAN_BALL: lambda n, k: None,
+    MechanismId.AUTO_SUM: _k2_then(lambda n: None),
+    MechanismId.OPT_SUM_BASELINE: lambda n, k: None,
+}
+
+
+@pytest.mark.parametrize("mech", list(MechanismId), ids=lambda m: m.value)
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_preconditions_match_readme_column(mech, variant):
+    for n in range(2, 13):
+        for k in range(2, min(n, 5) + 1):
+            inst = Instance(tuple(F(i * i, 3) for i in range(n)), k, variant)
+            if mech is MechanismId.OPT_SUM_BASELINE and variant is Variant.MAX:
+                with pytest.raises(UnsupportedVariantError, match="sum variant"):
+                    apply(mech, inst)
+                continue
+            fragment = _README_PRECONDITIONS[mech](n, k)
+            if fragment is None:
+                lot = apply(mech, inst)
+                assert sum(p for _, p in lot.support) == 1, (n, k)
+                assert all(len(sol.hosts) == k for sol, _ in lot.support), (n, k)
+            else:
+                with pytest.raises(MechanismPreconditionError) as exc:
+                    apply(mech, inst)
+                message = str(exc.value)
+                assert message.startswith(f"{mech.value} requires"), (n, k)
+                assert fragment in message, (n, k, message)
+
+
 def _applicable_instance_strategy(mech):
     """Profile strategy satisfying ``mech``'s preconditions."""
     if mech is MechanismId.TWO_MEDIANS:
