@@ -39,7 +39,7 @@ from .fileio import (
     write_sweep_csv,
 )
 from .generators import Family, GenSpec, generate
-from .mechanisms import MechanismId, apply
+from .mechanisms import MechanismId, apply, position_rule
 from .model import Coord, Instance, Variant, coord_str
 from .solver import brute_force_optimal, fast_optimal_sum
 from .verification import approx_ratio, run_regressions, sp_scan, worst_ratio_search
@@ -136,19 +136,23 @@ def cmd_mech(args: argparse.Namespace) -> int:
     return ExitCode.OK
 
 
-def _gen_spec(args: argparse.Namespace) -> GenSpec:
-    return GenSpec(
+def _gen_spec(args: argparse.Namespace, mech: MechanismId) -> GenSpec:
+    """The generation spec, once ``mech`` is known to run on its shape: a
+    shape the mechanism refuses fails here, before any instance is made."""
+    spec = GenSpec(
         family=Family(args.family),
         n=args.n,
         k=args.k,
         variant=Variant(args.variant),
         seed=args.seed,
     )
+    position_rule(mech, spec.n, spec.k, spec.variant)
+    return spec
 
 
 def cmd_verify_sp(args: argparse.Namespace) -> int:
     mech = MechanismId(args.mech)
-    spec = _gen_spec(args)
+    spec = _gen_spec(args, mech)
     instances = generate(spec, args.trials)
     checked = 0
     evaluated = 0
@@ -201,7 +205,7 @@ def cmd_verify_sp(args: argparse.Namespace) -> int:
 
 def cmd_ratio_sweep(args: argparse.Namespace) -> int:
     mech = MechanismId(args.mech)
-    spec = _gen_spec(args)
+    spec = _gen_spec(args, mech)
     bound = declared_bound(mech, spec.variant, args.n, args.k)
     rows: list[dict[str, Any]] = []
     worst = None

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from fractions import Fraction
 from typing import Any, Iterable, TextIO
 
@@ -36,9 +37,14 @@ SWEEP_COLUMNS = (
 )
 
 
-def float_15(value: Coord) -> float:
-    """Decimal approximation with 15 significant digits (display only)."""
-    return float(f"{float(Fraction(value)):.15g}")
+def float_15(value: Coord) -> float | None:
+    """Decimal approximation with 15 significant digits (display only), or
+    None when ``value`` lies outside the double range."""
+    try:
+        shown = float(f"{float(Fraction(value)):.15g}")
+    except OverflowError:
+        return None
+    return shown if math.isfinite(shown) else None  # 15 digits can round up
 
 
 def instance_to_dict(inst: Instance) -> dict[str, Any]:
@@ -122,7 +128,7 @@ def dump_instance(inst: Instance, path: str) -> None:
         fp.write("\n")
 
 
-def dual(value: Coord) -> tuple[str, float]:
+def dual(value: Coord) -> tuple[str, float | None]:
     """(exact rational string, 15-digit decimal) pair for result records."""
     return coord_str(value), float_15(value)
 
@@ -185,7 +191,7 @@ def read_sweep_csv(text: str) -> tuple[list[dict[str, str]], Fraction | None]:
         row = dict(zip(SWEEP_COLUMNS, fields))
         try:
             ratio = Fraction(row["ratio"])
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ParseError(
                 f"sweep CSV line {lineno}: ratio {row['ratio']!r} is not rational"
             ) from None

@@ -34,65 +34,39 @@ Outcomes = tuple[tuple[tuple[int, ...], Coord], ...]
 (p+1)-th smallest report; an outcome's probability is weight / denominator."""
 
 RuleOutput = tuple[Coord, Outcomes]
-Rule = Callable[[Sequence[Coord], int, Variant], RuleOutput]
-"""A mechanism written over the sorted reports ``xs``, the facility count k
-and the variant.  It returns the denominator and the outcomes, or raises
-when its precondition fails.  The weights are integers whenever the reports
-are; they sum to the denominator."""
+Rule = Callable[[Sequence[Coord], int], RuleOutput]
+"""A mechanism written over the sorted reports ``xs`` and the facility
+count k.  It returns the denominator and the outcomes, and never raises on
+a shape that passes :func:`position_rule`.  The weights are integers
+whenever the reports are; they sum to the denominator."""
 
 
-def _require_k2(k: int, name: str) -> None:
-    if k != 2:
-        raise MechanismPreconditionError(f"{name} requires k=2, got k={k}")
-
-
-def _odd_n_median(xs: Sequence[Coord], k: int, name: str) -> int:
-    """Position of the median for rules that need k=2 and odd n >= 3."""
-    _require_k2(k, name)
-    if len(xs) % 2 == 0:
-        raise MechanismPreconditionError(
-            f"{name} requires an odd number of agents, got n={len(xs)}"
-        )
-    return (len(xs) - 1) // 2
-
-
-def _two_medians(xs: Sequence[Coord], k: int, variant: Variant) -> RuleOutput:
-    """Open both median agents.  Needs k=2 and even n (odd n has one median)."""
-    _require_k2(k, "two-medians")
+def _two_medians(xs: Sequence[Coord], k: int) -> RuleOutput:
+    """Open both median agents (even n)."""
     n = len(xs)
-    if n % 2 != 0:
-        raise MechanismPreconditionError(
-            f"two-medians requires an even number of agents, got n={n}"
-        )
     return 1, (((n // 2 - 1, n // 2), 1),)
 
 
-def _median_right(xs: Sequence[Coord], k: int, variant: Variant) -> RuleOutput:
-    """Open the low median and its right sorted neighbour.  Needs k=2."""
-    _require_k2(k, "median-right")
+def _median_right(xs: Sequence[Coord], k: int) -> RuleOutput:
+    """Open the low median and its right sorted neighbour."""
     m = (len(xs) - 1) // 2
     return 1, (((m, m + 1), 1),)
 
 
-def _median_left(xs: Sequence[Coord], k: int, variant: Variant) -> RuleOutput:
-    """Open the low median and its left sorted neighbour.  Needs k=2 and n >= 3."""
-    _require_k2(k, "median-left")
+def _median_left(xs: Sequence[Coord], k: int) -> RuleOutput:
+    """Open the low median and its left sorted neighbour."""
     m = (len(xs) - 1) // 2
-    if m == 0:
-        raise MechanismPreconditionError(
-            f"median-left requires the median to have a left neighbour, got n={len(xs)}"
-        )
     return 1, (((m - 1, m), 1),)
 
 
-def _uniform(xs: Sequence[Coord], k: int, variant: Variant) -> RuleOutput:
+def _uniform(xs: Sequence[Coord], k: int) -> RuleOutput:
     """Open {left neighbour, median} or {median, right neighbour}, each with
-    probability 1/2.  Needs k=2 and odd n >= 3."""
-    m = _odd_n_median(xs, k, "uniform")
+    probability 1/2 (odd n)."""
+    m = (len(xs) - 1) // 2
     return 2, (((m - 1, m), 1), ((m, m + 1), 1))
 
 
-def _reverse_proportional(xs: Sequence[Coord], k: int, variant: Variant) -> RuleOutput:
+def _reverse_proportional(xs: Sequence[Coord], k: int) -> RuleOutput:
     """Randomise between the two median-adjacent pairs with probabilities
     inversely proportional to their gap from the median.
 
@@ -100,17 +74,17 @@ def _reverse_proportional(xs: Sequence[Coord], k: int, variant: Variant) -> Rule
     neighbour: pick {l, m} with probability d(m, r) / d(l, r) and {m, r}
     with probability d(l, m) / d(l, r), so the nearer neighbour is the more
     likely partner.  If l and r coincide with m, both pairs cost the same
-    and the split is 1/2 each.  Needs k=2 and odd n >= 3.
+    and the split is 1/2 each (odd n).
     """
-    m = _odd_n_median(xs, k, "reverse-proportional")
+    m = (len(xs) - 1) // 2
     gap_l = xs[m] - xs[m - 1]
     gap_r = xs[m + 1] - xs[m]
     if gap_l + gap_r == 0:
-        return _uniform(xs, k, variant)
+        return _uniform(xs, k)
     return gap_l + gap_r, (((m - 1, m), gap_r), ((m, m + 1), gap_l))
 
 
-def _median_ball(xs: Sequence[Coord], k: int, variant: Variant) -> RuleOutput:
+def _median_ball(xs: Sequence[Coord], k: int) -> RuleOutput:
     """Open a window of k consecutive sorted agents balanced around the low
     median: (k-1)/2 on each side for odd k, one fewer on the left for even
     k.  At the ends of the line the window shifts inward so it keeps k
@@ -121,49 +95,69 @@ def _median_ball(xs: Sequence[Coord], k: int, variant: Variant) -> RuleOutput:
     return 1, ((tuple(range(start, start + k)), 1),)
 
 
-def _auto_sum(xs: Sequence[Coord], k: int, variant: Variant) -> RuleOutput:
-    """Parity dispatch for k=2: two-medians on even n (cost-optimal for the
-    sum variant), reverse-proportional on odd n."""
-    _require_k2(k, "auto-sum")
+def _auto_sum(xs: Sequence[Coord], k: int) -> RuleOutput:
+    """Parity dispatch: two-medians on even n (cost-optimal for the sum
+    variant), reverse-proportional on odd n."""
     if len(xs) % 2 == 0:
-        return _two_medians(xs, k, variant)
-    return _reverse_proportional(xs, k, variant)
+        return _two_medians(xs, k)
+    return _reverse_proportional(xs, k)
 
 
-def _opt_sum_baseline(xs: Sequence[Coord], k: int, variant: Variant) -> RuleOutput:
+def _opt_sum_baseline(xs: Sequence[Coord], k: int) -> RuleOutput:
     """Point mass on the exact sum-variant optimum.  Cost-perfect but
-    manipulable; kept as the refuter's negative control.  Sum variant only."""
-    require_sum_variant(variant, "opt-sum-baseline")
+    manipulable; kept as the refuter's negative control."""
     return 1, ((optimal_sum_window(xs, k), 1),)
 
 
-_RULES: dict[MechanismId, Rule] = {
-    MechanismId.TWO_MEDIANS: _two_medians,
-    MechanismId.MEDIAN_RIGHT: _median_right,
-    MechanismId.MEDIAN_LEFT: _median_left,
-    MechanismId.UNIFORM: _uniform,
-    MechanismId.REVERSE_PROPORTIONAL: _reverse_proportional,
-    MechanismId.MEDIAN_BALL: _median_ball,
-    MechanismId.AUTO_SUM: _auto_sum,
-    MechanismId.OPT_SUM_BASELINE: _opt_sum_baseline,
+_MECHANISMS: dict[MechanismId, tuple[Rule, bool, int | None, int, bool]] = {
+    # id: (rule, needs k=2, required n % 2 or None, smallest n, sum only)
+    MechanismId.TWO_MEDIANS: (_two_medians, True, 0, 2, False),
+    MechanismId.MEDIAN_RIGHT: (_median_right, True, None, 2, False),
+    MechanismId.MEDIAN_LEFT: (_median_left, True, None, 3, False),
+    MechanismId.UNIFORM: (_uniform, True, 1, 2, False),
+    MechanismId.REVERSE_PROPORTIONAL: (_reverse_proportional, True, 1, 2, False),
+    MechanismId.MEDIAN_BALL: (_median_ball, False, None, 2, False),
+    MechanismId.AUTO_SUM: (_auto_sum, True, None, 2, False),
+    MechanismId.OPT_SUM_BASELINE: (_opt_sum_baseline, False, None, 2, True),
 }
 
 
-def position_rule(mech: MechanismId | str) -> Rule:
-    """The rule behind ``mech``; accepts the id or its CLI spelling."""
+def position_rule(mech: MechanismId | str, n: int, k: int, variant: Variant) -> Rule:
+    """The rule behind ``mech`` (the id or its CLI spelling) for n agents,
+    k facilities and ``variant``.
+
+    Preconditions depend on this shape alone, so every profile of it runs
+    through the returned rule unchecked.  They are checked in order: the
+    variant (UnsupportedVariantError), then k, the parity of n and the
+    smallest n (MechanismPreconditionError).
+    """
     if not isinstance(mech, MechanismId):
         try:
             mech = MechanismId(mech)
         except ValueError:
             known = ", ".join(m.value for m in MechanismId)
             raise InputError(f"unknown mechanism {mech!r} (known: {known})") from None
-    return _RULES[mech]
+    rule, needs_k2, parity, min_n, sum_only = _MECHANISMS[mech]
+    if sum_only:
+        require_sum_variant(variant, mech.value)
+    if needs_k2 and k != 2:
+        raise MechanismPreconditionError(f"{mech.value} requires k=2, got k={k}")
+    if parity is not None and n % 2 != parity:
+        raise MechanismPreconditionError(
+            f"{mech.value} requires an {('even', 'odd')[parity]} number of agents, "
+            f"got n={n}"
+        )
+    if n < min_n:
+        # Only median-left has a smallest n above 2.
+        raise MechanismPreconditionError(
+            f"{mech.value} requires the median to have a left neighbour, got n={n}"
+        )
+    return rule
 
 
 def apply(mech: MechanismId | str, inst: Instance) -> Lottery:
-    """Run ``mech`` on ``inst``, raising MechanismPreconditionError (or, for
-    the baseline on a max instance, UnsupportedVariantError) when it does
-    not apply.
+    """Run ``mech`` on ``inst``, raising as :func:`position_rule` does when
+    it does not apply.
 
     The rule sees the reports in stable sorted order, so coincident reports
     resolve by agent index; its positions map back to agents through
@@ -171,10 +165,10 @@ def apply(mech: MechanismId | str, inst: Instance) -> Lottery:
     :class:`~flp.model.Lottery`'s checks, so a rule whose weights do not sum
     to its denominator raises InvariantError.
     """
-    rule = position_rule(mech)
+    rule = position_rule(mech, inst.n, inst.k, inst.variant)
     order = order_stats(inst)
     locs = inst.locations
-    den, outcomes = rule([locs[i] for i in order], inst.k, inst.variant)
+    den, outcomes = rule([locs[i] for i in order], inst.k)
     return Lottery(
         tuple(
             (
@@ -184,4 +178,3 @@ def apply(mech: MechanismId | str, inst: Instance) -> Lottery:
             for positions, weight in outcomes
         )
     )
-

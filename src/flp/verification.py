@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import RP_BOUND
-from .errors import (
-    InputError,
-    InvariantError,
-    MechanismPreconditionError,
-    UnsupportedVariantError,
-)
+from .errors import InputError, InvariantError
 from .generators import Family, GenSpec, generate, perturb
 from .mechanisms import MechanismId, Outcomes, apply, position_rule
 from .model import (
@@ -52,8 +47,9 @@ class SpViolation:
 @dataclass(frozen=True, slots=True)
 class SpScan:
     """Outcome of scanning one instance: the first violation found (if any),
-    how many deviations were cost-compared, and how many were skipped because
-    the mechanism's precondition failed on the deviated profile."""
+    how many deviations were cost-compared, and ``skipped``, which is always
+    0 (a deviation keeps n, k and the variant, so the mechanism's
+    precondition holds on it) and stays for the record format."""
 
     violation: SpViolation | None
     evaluated: int
@@ -150,8 +146,9 @@ def sp_scan(mech: MechanismId, inst: Instance, grid_points: int = 200) -> SpScan
     """Scan every (agent, candidate misreport) pair for a profitable deviation.
 
     Agents are visited in index order and candidates in ascending order; the
-    first strict expected-cost decrease ends the scan.  Deviated profiles
-    where the mechanism's precondition fails are skipped and counted.
+    first strict expected-cost decrease ends the scan.  The mechanism's
+    precondition is checked once, on the instance's shape, which every
+    deviation shares.
 
     Internally, agents share one candidate superset (their own current report
     is skipped in the loop, so the per-agent difference is immaterial), and
@@ -164,17 +161,14 @@ def sp_scan(mech: MechanismId, inst: Instance, grid_points: int = 200) -> SpScan
     validated :func:`~flp.mechanisms.apply` path before it is reported, so
     a returned violation is always genuine.
     """
-    rule = position_rule(mech)
     k, variant = inst.k, inst.variant
     scale, locs, cands = _scaled_candidates(inst, grid_points)
+    rule = position_rule(mech, inst.n, k, variant)
     superset = sorted(cands.union(locs))
     honest_xs = sorted(locs)
-    # A failed precondition raises here as it would in apply: every rule's
-    # precondition depends on n, k and the variant alone.
-    honest_den, honest = rule(honest_xs, k, variant)
+    honest_den, honest = rule(honest_xs, k)
 
     evaluated = 0
-    skipped = 0
     for agent, true_here in enumerate(locs):
         honest_cost = _weighted_cost(true_here, honest_xs, honest, variant)
         others = list(honest_xs)
@@ -184,20 +178,16 @@ def sp_scan(mech: MechanismId, inst: Instance, grid_points: int = 200) -> SpScan
                 continue
             xs = others.copy()
             insort(xs, x)
-            try:
-                den, outcomes = rule(xs, k, variant)
-            except (MechanismPreconditionError, UnsupportedVariantError):
-                skipped += 1
-                continue
+            den, outcomes = rule(xs, k)
             evaluated += 1
             if _weighted_cost(true_here, xs, outcomes, variant) * honest_den < (
                 honest_cost * den
             ):
                 misreport = as_coord(Fraction(x, scale))
                 return SpScan(
-                    _certify_violation(mech, inst, agent, misreport), evaluated, skipped
+                    _certify_violation(mech, inst, agent, misreport), evaluated, 0
                 )
-    return SpScan(None, evaluated, skipped)
+    return SpScan(None, evaluated, 0)
 
 
 def _certify_violation(
@@ -270,6 +260,7 @@ def worst_ratio_search(
     spec = GenSpec(
         Family.UNIFORM_INT, n=n, k=k, variant=variant, seed=seed, lo=0, hi=max(8, 2 * n)
     )
+    position_rule(mech, n, k, variant)  # refuse the shape before sampling
     reports = [approx_ratio(mech, inst) for inst in generate(spec, trials)]
     reports.sort(key=lambda r: r.ratio, reverse=True)
     best = reports[0]

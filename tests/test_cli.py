@@ -14,6 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 import flp.cli as cli
+import flp.verification as verification
 from flp import Instance, Variant, dump_instance
 from flp.cli import ExitCode, main
 from flp.fileio import read_sweep_csv
@@ -39,6 +40,24 @@ def max_counterexample(tmp_path):
 @pytest.fixture
 def sum_triple(tmp_path):
     return write_instance(tmp_path, (0, 1, 3), 2, Variant.SUM)
+
+
+@pytest.fixture
+def huge_triple(tmp_path):
+    # Costs of 5 * 10^400 are exact but have no double approximation.
+    path = tmp_path / "huge.json"
+    path.write_text(
+        json.dumps(
+            {
+                "format": "flp-instance",
+                "version": 1,
+                "variant": "sum",
+                "k": 2,
+                "locations": ["0", "1e400", "2e400"],
+            }
+        )
+    )
+    return str(path)
 
 
 class TestSolve:
@@ -109,6 +128,13 @@ class TestSolve:
         assert code == ExitCode.ERROR
         assert "locations[1]" in err and "exact" in err
 
+    def test_cost_beyond_double_range_has_null_float(self, huge_triple, capsys):
+        code, out, err = run_cli(["solve", "--instance", huge_triple], capsys)
+        assert code == ExitCode.OK and err == ""
+        record = json.loads(out)
+        assert record["optimal_cost"] == str(5 * 10**400)
+        assert record["optimal_cost_float"] is None
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["solve", "--instance", str(tmp_path / "nope.json")], capsys
@@ -168,6 +194,18 @@ class TestMech:
         )
         assert code == ExitCode.PRECONDITION
         assert err == "error: opt-sum-baseline only handles the sum variant, got max\n"
+
+    def test_cost_beyond_double_range_has_null_float(self, huge_triple, capsys):
+        code, out, err = run_cli(
+            ["mech", "--mech", "median-right", "--instance", huge_triple], capsys
+        )
+        assert code == ExitCode.OK and err == ""
+        record = json.loads(out)
+        assert record["locations"] == ["0", str(10**400), str(2 * 10**400)]
+        assert record["expected_social_cost"] == str(5 * 10**400)
+        assert record["expected_social_cost_float"] is None
+        assert record["optimal_cost_float"] is None
+        assert (record["ratio"], record["ratio_float"]) == ("1", 1.0)
 
     def test_unknown_mechanism_exits_1(self, sum_triple, capsys):
         code, _, _ = run_cli(
@@ -465,6 +503,41 @@ class TestSearch:
         record = json.loads(out)
         assert F(record["ratio"]) >= 1
         assert len(record["locations"]) == 3
+
+
+class TestShapeRefusedBeforeGenerating:
+    @pytest.fixture(autouse=True)
+    def no_generation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("instances generated for a refused shape")
+
+        monkeypatch.setattr(cli, "generate", refuse)
+        monkeypatch.setattr(verification, "generate", refuse)
+
+    # With 0 trials, verify-sp and ratio-sweep exit 3 too: the mechanism
+    # cannot run on this shape at all.
+    @pytest.mark.parametrize(
+        "command,trials",
+        [
+            ("verify-sp", "0"),
+            ("verify-sp", "100000"),
+            ("ratio-sweep", "0"),
+            ("ratio-sweep", "100000"),
+            ("search", "100000"),
+        ],
+    )
+    def test_precondition_exits_3(self, command, trials, capsys):
+        args = ["--mech", "two-medians", "--variant", "sum", "--n", "3"]
+        code, out, err = run_cli([command, *args, "--trials", trials], capsys)
+        assert code == ExitCode.PRECONDITION and out == ""
+        assert err == "error: two-medians requires an even number of agents, got n=3\n"
+
+    @pytest.mark.parametrize("command", ["verify-sp", "ratio-sweep", "search"])
+    @pytest.mark.parametrize("n,k", [("1", "2"), ("3", "5")])
+    def test_infeasible_shape_still_exits_2(self, command, n, k, capsys):
+        args = ["--mech", "two-medians", "--variant", "sum", "--n", n, "--k", k]
+        code, _, err = run_cli([command, *args], capsys)
+        assert code == ExitCode.INFEASIBLE and err.startswith("error: ")
 
 
 class TestRegress:

@@ -5,6 +5,7 @@ sweep CSV format.
 
 import io
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -135,6 +136,14 @@ class TestDualRepresentation:
         assert float_15(F(1, 3)) == 0.333333333333333
         assert float_15(F(22, 21)) == 1.04761904761905
 
+    def test_float_15_outside_double_range_is_none(self):
+        assert float_15(10**400) is None
+        assert float_15(-(10**400)) is None
+        # Within range, but 15 significant digits round it past the largest double.
+        assert float_15(int(sys.float_info.max)) is None
+        assert float_15(F(1, 10**400)) == 0.0
+        assert dual(F(10**400, 3)) == (f"{10**400}/3", None)
+
     def test_lottery_entries_sorted_and_dual(self):
         lot = Lottery(((Solution.of(1, 2), F(1, 3)), (Solution.of(0, 1), F(2, 3))))
         # As strings "10" < "9" and "-2" < "-3"; entries follow the numbers.
@@ -214,9 +223,10 @@ class TestRecordsAndSweeps:
     def test_irrational_ratio_rejected(self):
         out = io.StringIO()
         write_sweep_csv(self.rows(), out)
-        broken = out.getvalue().replace("3/2", "1.5x")
-        with pytest.raises(ParseError, match="not rational"):
-            read_sweep_csv(broken)
+        for bad in ("1.5x", "1/0"):
+            broken = out.getvalue().replace("3/2", bad)
+            with pytest.raises(ParseError, match="not rational"):
+                read_sweep_csv(broken)
 
 
 if __name__ == "__main__":

@@ -282,10 +282,13 @@ class TestApply:
     def test_rule_weights_over_the_denominator_raise(self, monkeypatch):
         import flp.mechanisms as mechanisms
 
-        def overweight(xs, k, variant):
+        def overweight(xs, k):
             return 2, (((0, 1), 1), ((1, 2), 2))
 
-        monkeypatch.setitem(mechanisms._RULES, MechanismId.UNIFORM, overweight)
+        row = mechanisms._MECHANISMS[MechanismId.UNIFORM]
+        monkeypatch.setitem(
+            mechanisms._MECHANISMS, MechanismId.UNIFORM, (overweight, *row[1:])
+        )
         with pytest.raises(InvariantError, match="sum to 3/2"):
             apply(MechanismId.UNIFORM, sum_inst(0, 1, 2))
 

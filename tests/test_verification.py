@@ -159,25 +159,6 @@ class TestSpScan:
         assert scan.evaluated == 18
         assert scan.skipped == 0
 
-    def test_deviation_precondition_failures_are_counted(self, monkeypatch):
-        import flp.verification as verification
-
-        real_rule = verification.position_rule(MechanismId.MEDIAN_RIGHT)
-
-        def flaky_rule(xs, k, variant):
-            # The scan feeds each deviated profile, sorted and rescaled, to
-            # the rule.  Only the outer-left candidate (-4 on the visible
-            # scale) is negative, so the refusal hits once per agent.
-            if xs[0] < 0:
-                raise MechanismPreconditionError("synthetic refusal")
-            return real_rule(xs, k, variant)
-
-        monkeypatch.setattr(verification, "position_rule", lambda mech: flaky_rule)
-        scan = sp_scan(MechanismId.MEDIAN_RIGHT, sum_inst(0, 2, 4), grid_points=0)
-        assert scan.violation is None
-        assert scan.skipped == 3  # one refused candidate per agent
-        assert scan.evaluated == 15
-
     def test_certifier_rejects_false_positives(self):
         with pytest.raises(InvariantError):
             _certify_violation(MechanismId.MEDIAN_RIGHT, sum_inst(0, 1, 2), 0, 1)
