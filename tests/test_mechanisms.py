@@ -190,27 +190,67 @@ class TestMedianBall:
         lot = apply(MechanismId.MEDIAN_BALL, inst)
         assert lot.support[0][0] == Solution.of(0, 1, 2)
 
-    @given(profiles(min_n=2, max_n=8, max_k=6))
-    @settings(max_examples=60)
-    def test_window_is_contiguous_and_contains_median(self, profile):
-        locs, k = profile
-        inst = Instance(locs, k, Variant.SUM)
-        lot = apply(MechanismId.MEDIAN_BALL, inst)
-        sol = lot.support[0][0]
-        order = sorted(range(len(locs)), key=lambda i: (locs[i], i))
-        positions = sorted(order.index(h) for h in sol.hosts)
-        assert positions == list(range(positions[0], positions[0] + k))
-        assert positions[0] <= (len(locs) - 1) // 2 <= positions[-1]
+    @pytest.mark.parametrize(
+        "mech, variant",
+        [
+            (mech, variant)
+            for mech in MechanismId
+            for variant in Variant
+            if not (mech is MechanismId.OPT_SUM_BASELINE and variant is Variant.MAX)
+        ],
+        ids=lambda x: x.value,
+    )
+    def test_window_is_contiguous_and_contains_median(self, mech, variant):
+        # Every mechanism opens k consecutive stable sorted positions that
+        # contain a median position, on every shape it accepts.
+        shapes = [
+            (n, k)
+            for n in range(2, 9)
+            for k in range(2, n + 1)
+            if _README_PRECONDITIONS[mech](n, k) is None
+        ]
 
-    @given(profiles(min_n=2, max_n=8))
-    @settings(max_examples=60)
-    def test_k2_matches_median_right(self, profile):
-        locs, _ = profile
-        inst = Instance(locs, 2, Variant.SUM)
-        assert (
-            apply(MechanismId.MEDIAN_BALL, inst).support
-            == apply(MechanismId.MEDIAN_RIGHT, inst).support
-        )
+        @given(st.sampled_from(shapes), st.lists(coords, min_size=8, max_size=8))
+        @settings(max_examples=60)
+        def run(shape, pool):
+            n, k = shape
+            locs = tuple(pool[:n])
+            lot = apply(mech, Instance(locs, k, variant))
+            order = sorted(range(n), key=lambda i: (locs[i], i))
+            for sol, _ in lot.support:
+                positions = sorted(order.index(h) for h in sol.hosts)
+                assert positions == list(range(positions[0], positions[0] + k))
+                assert positions[0] <= n // 2 and (n - 1) // 2 <= positions[-1]
+
+        run()
+
+    @pytest.mark.parametrize(
+        "mech, parity, halves",
+        [
+            (MechanismId.MEDIAN_BALL, None, (MechanismId.MEDIAN_RIGHT,)),
+            (MechanismId.TWO_MEDIANS, "even", (MechanismId.MEDIAN_RIGHT,)),
+            (
+                MechanismId.UNIFORM,
+                "odd",
+                (MechanismId.MEDIAN_LEFT, MechanismId.MEDIAN_RIGHT),
+            ),
+        ],
+        ids=["median-ball", "two-medians-even-n", "uniform-odd-n"],
+    )
+    def test_k2_matches_median_right(self, mech, parity, halves):
+        # At k=2, median-ball and (even n) two-medians are median-right, and
+        # uniform (odd n) is median-left or median-right at 1/2 each.
+        @given(profiles(min_n=2, max_n=8, parity=parity))
+        @settings(max_examples=60)
+        def run(profile):
+            locs, _ = profile
+            inst = Instance(locs, 2, Variant.SUM)
+            expect = {
+                apply(part, inst).support[0][0]: F(1, len(halves)) for part in halves
+            }
+            assert dict(apply(mech, inst).support) == expect
+
+        run()
 
 
 class TestAutoSum:
