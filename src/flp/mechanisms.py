@@ -38,32 +38,18 @@ Rule = Callable[[Sequence[Coord], int], RuleOutput]
 """A mechanism written over the sorted reports ``xs`` and the facility
 count k.  It returns the denominator and the outcomes, and never raises on
 a shape that passes :func:`position_rule`.  The weights are integers
-whenever the reports are; they sum to the denominator."""
+whenever the reports are; they sum to the denominator.  An order-only
+mechanism's rule ignores ``xs``: its outcomes depend on n and k alone."""
 
 
-def _two_medians(xs: Sequence[Coord], k: int) -> RuleOutput:
-    """Open both median agents (even n)."""
-    n = len(xs)
-    return 1, (((n // 2 - 1, n // 2), 1),)
-
-
-def _median_right(xs: Sequence[Coord], k: int) -> RuleOutput:
-    """Open the low median and its right sorted neighbour."""
-    m = (len(xs) - 1) // 2
-    return 1, (((m, m + 1), 1),)
-
-
-def _median_left(xs: Sequence[Coord], k: int) -> RuleOutput:
-    """Open the low median and its left sorted neighbour."""
-    m = (len(xs) - 1) // 2
-    return 1, (((m - 1, m), 1),)
-
-
-def _uniform(xs: Sequence[Coord], k: int) -> RuleOutput:
-    """Open {left neighbour, median} or {median, right neighbour}, each with
-    probability 1/2 (odd n)."""
-    m = (len(xs) - 1) // 2
-    return 2, (((m - 1, m), 1), ((m, m + 1), 1))
+def _windows(n: int, k: int, offsets: Sequence[int]) -> RuleOutput:
+    """An equal-weight lottery with one window per offset: k consecutive
+    sorted positions starting (k-1)//2 left of the low median, moved right
+    by the offset.  A window that would leave the line shifts inward, so it
+    still holds k agents and the median."""
+    base = (n - 1) // 2 - (k - 1) // 2
+    starts = (max(0, min(base + offset, n - k)) for offset in offsets)
+    return len(offsets), tuple((tuple(range(s, s + k)), 1) for s in starts)
 
 
 def _reverse_proportional(xs: Sequence[Coord], k: int) -> RuleOutput:
@@ -80,26 +66,15 @@ def _reverse_proportional(xs: Sequence[Coord], k: int) -> RuleOutput:
     gap_l = xs[m] - xs[m - 1]
     gap_r = xs[m + 1] - xs[m]
     if gap_l + gap_r == 0:
-        return _uniform(xs, k)
+        return _windows(len(xs), k, (-1, 0))
     return gap_l + gap_r, (((m - 1, m), gap_r), ((m, m + 1), gap_l))
-
-
-def _median_ball(xs: Sequence[Coord], k: int) -> RuleOutput:
-    """Open a window of k consecutive sorted agents balanced around the low
-    median: (k-1)/2 on each side for odd k, one fewer on the left for even
-    k.  At the ends of the line the window shifts inward so it keeps k
-    agents; it always still contains the median.  Works for any 2 <= k <= n.
-    """
-    n = len(xs)
-    start = max(0, min((n - 1) // 2 - (k - 1) // 2, n - k))
-    return 1, ((tuple(range(start, start + k)), 1),)
 
 
 def _auto_sum(xs: Sequence[Coord], k: int) -> RuleOutput:
     """Parity dispatch: two-medians on even n (cost-optimal for the sum
     variant), reverse-proportional on odd n."""
     if len(xs) % 2 == 0:
-        return _two_medians(xs, k)
+        return _windows(len(xs), k, (0,))
     return _reverse_proportional(xs, k)
 
 
@@ -109,14 +84,17 @@ def _opt_sum_baseline(xs: Sequence[Coord], k: int) -> RuleOutput:
     return 1, ((optimal_sum_window(xs, k), 1),)
 
 
-_MECHANISMS: dict[MechanismId, tuple[Rule, bool, int | None, int, bool]] = {
-    # id: (rule, needs k=2, required n % 2 or None, smallest n, sum only)
-    MechanismId.TWO_MEDIANS: (_two_medians, True, 0, 2, False),
-    MechanismId.MEDIAN_RIGHT: (_median_right, True, None, 2, False),
-    MechanismId.MEDIAN_LEFT: (_median_left, True, None, 3, False),
-    MechanismId.UNIFORM: (_uniform, True, 1, 2, False),
+_MECHANISMS: dict[
+    MechanismId, tuple[Rule | tuple[int, ...], bool, int | None, int, bool]
+] = {
+    # id: (rule, or an order-only mechanism's window offsets, needs k=2,
+    # required n % 2 or None, smallest n, sum only)
+    MechanismId.TWO_MEDIANS: ((0,), True, 0, 2, False),
+    MechanismId.MEDIAN_RIGHT: ((0,), True, None, 2, False),
+    MechanismId.MEDIAN_LEFT: ((-1,), True, None, 3, False),
+    MechanismId.UNIFORM: ((-1, 0), True, 1, 2, False),
     MechanismId.REVERSE_PROPORTIONAL: (_reverse_proportional, True, 1, 2, False),
-    MechanismId.MEDIAN_BALL: (_median_ball, False, None, 2, False),
+    MechanismId.MEDIAN_BALL: ((0,), False, None, 2, False),
     MechanismId.AUTO_SUM: (_auto_sum, True, None, 2, False),
     MechanismId.OPT_SUM_BASELINE: (_opt_sum_baseline, False, None, 2, True),
 }
@@ -124,12 +102,14 @@ _MECHANISMS: dict[MechanismId, tuple[Rule, bool, int | None, int, bool]] = {
 
 def position_rule(mech: MechanismId | str, n: int, k: int, variant: Variant) -> Rule:
     """The rule behind ``mech`` (the id or its CLI spelling) for n agents,
-    k facilities and ``variant``.
+    k facilities and ``variant``.  The returned rule is only valid for
+    sorted reports of that shape.
 
     Preconditions depend on this shape alone, so every profile of it runs
     through the returned rule unchecked.  They are checked in order: the
     variant (UnsupportedVariantError), then k, the parity of n and the
-    smallest n (MechanismPreconditionError).
+    smallest n (MechanismPreconditionError).  An order-only mechanism's
+    outcomes are fixed here, once per shape.
     """
     if not isinstance(mech, MechanismId):
         try:
@@ -152,7 +132,10 @@ def position_rule(mech: MechanismId | str, n: int, k: int, variant: Variant) -> 
         raise MechanismPreconditionError(
             f"{mech.value} requires the median to have a left neighbour, got n={n}"
         )
-    return rule
+    if not isinstance(rule, tuple):
+        return rule
+    outcome = _windows(n, k, rule)
+    return lambda xs, k: outcome
 
 
 def apply(mech: MechanismId | str, inst: Instance) -> Lottery:
