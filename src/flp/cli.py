@@ -347,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # print every exact value in full
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -42,9 +42,30 @@ def sum_triple(tmp_path):
     return write_instance(tmp_path, (0, 1, 3), 2, Variant.SUM)
 
 
-@pytest.fixture
-def huge_triple(tmp_path):
-    # Costs of 5 * 10^400 are exact but have no double approximation.
+_D = 10**3000
+
+
+@pytest.fixture(
+    params=[
+        # Costs of 5 * 10^400 are exact but have no double approximation.
+        (("0", "1e400", "2e400"), (0, 10**400, 2 * 10**400), 5 * 10**400, None),
+        # A value past Python's default 4,300-digit int/str conversion limit.
+        (("0", "1e5000", "3"), (0, 10**5000, 3), 2 * 10**5000 + 3, None),
+        # Every literal is short enough to parse, but the costs'
+        # denominators have 6,001 digits; their doubles underflow to 0.
+        (
+            (f"1/{_D + 1}", "0", f"1/{_D + 3}"),
+            (F(1, _D + 1), 0, F(1, _D + 3)),
+            F(3, _D + 1) - F(1, _D + 3),
+            0.0,
+        ),
+    ],
+    ids=["1e400", "1e5000", "3000-digit-denominators"],
+)
+def huge_triple(tmp_path, request):
+    """(instance path, location values, optimal sum cost, the double of
+    every cost on the instance)."""
+    literals, values, opt_cost, cost_float = request.param
     path = tmp_path / "huge.json"
     path.write_text(
         json.dumps(
@@ -53,11 +74,11 @@ def huge_triple(tmp_path):
                 "version": 1,
                 "variant": "sum",
                 "k": 2,
-                "locations": ["0", "1e400", "2e400"],
+                "locations": list(literals),
             }
         )
     )
-    return str(path)
+    return str(path), values, opt_cost, cost_float
 
 
 class TestSolve:
@@ -129,11 +150,12 @@ class TestSolve:
         assert "locations[1]" in err and "exact" in err
 
     def test_cost_beyond_double_range_has_null_float(self, huge_triple, capsys):
-        code, out, err = run_cli(["solve", "--instance", huge_triple], capsys)
+        path, _, opt_cost, cost_float = huge_triple
+        code, out, err = run_cli(["solve", "--instance", path], capsys)
         assert code == ExitCode.OK and err == ""
         record = json.loads(out)
-        assert record["optimal_cost"] == str(5 * 10**400)
-        assert record["optimal_cost_float"] is None
+        assert record["optimal_cost"] == str(opt_cost)
+        assert record["optimal_cost_float"] == cost_float
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -196,16 +218,22 @@ class TestMech:
         assert err == "error: opt-sum-baseline only handles the sum variant, got max\n"
 
     def test_cost_beyond_double_range_has_null_float(self, huge_triple, capsys):
+        path, values, opt_cost, cost_float = huge_triple
         code, out, err = run_cli(
-            ["mech", "--mech", "median-right", "--instance", huge_triple], capsys
+            ["mech", "--mech", "median-right", "--instance", path], capsys
         )
         assert code == ExitCode.OK and err == ""
         record = json.loads(out)
-        assert record["locations"] == ["0", str(10**400), str(2 * 10**400)]
-        assert record["expected_social_cost"] == str(5 * 10**400)
-        assert record["expected_social_cost_float"] is None
-        assert record["optimal_cost_float"] is None
-        assert (record["ratio"], record["ratio_float"]) == ("1", 1.0)
+        assert record["locations"] == [str(x) for x in values]
+        # median-right opens the two rightmost of three agents.
+        low, mid, high = sorted(values)
+        mech_cost = (high - low) + (mid - low) + 2 * (high - mid)
+        assert record["expected_social_cost"] == str(mech_cost)
+        assert record["expected_social_cost_float"] == cost_float
+        assert record["optimal_cost"] == str(opt_cost)
+        assert record["optimal_cost_float"] == cost_float
+        ratio = F(mech_cost) / opt_cost  # 1, or just under 3/2 at 1e5000
+        assert (record["ratio"], record["ratio_float"]) == (str(ratio), float(ratio))
 
     def test_unknown_mechanism_exits_1(self, sum_triple, capsys):
         code, _, _ = run_cli(
