@@ -210,7 +210,7 @@ def _certify_violation(
     return SpViolation(agent, true_location, misreport, honest_cost, deviated_cost)
 
 
-def approx_ratio(mech: MechanismId, inst: Instance) -> RatioReport:
+def approx_ratio(mech: MechanismId | str, inst: Instance) -> RatioReport:
     """Exact expected-social-cost / optimum for one instance.
 
     A zero optimum only happens when all reports coincide, where every
@@ -231,7 +231,7 @@ def approx_ratio(mech: MechanismId, inst: Instance) -> RatioReport:
         raise InvariantError(
             f"mechanism cost {mech_cost} below the optimum {opt.cost}"
         )
-    return RatioReport(mech, inst, mech_cost, opt.cost, ratio)
+    return RatioReport(MechanismId(mech), inst, mech_cost, opt.cost, ratio)
 
 
 _CLIMB_STARTS = 5  # how many of the best samples worst_ratio_search climbs from

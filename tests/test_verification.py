@@ -332,6 +332,12 @@ class TestApproxRatio:
         assert report.opt_cost == 7
         assert report.ratio == F(22, 21)
 
+    def test_string_id_is_reported_as_the_enum(self):
+        inst = sum_inst(0, 1, 3)
+        report = approx_ratio("reverse-proportional", inst)
+        assert report.mechanism is MechanismId.REVERSE_PROPORTIONAL
+        assert report == approx_ratio(MechanismId.REVERSE_PROPORTIONAL, inst)
+
 
 class TestWorstRatioSearch:
     def test_deterministic(self):
