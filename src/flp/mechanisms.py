@@ -45,10 +45,10 @@ mechanism's rule ignores ``xs``: its outcomes depend on n and k alone."""
 def _windows(n: int, k: int, offsets: Sequence[int]) -> RuleOutput:
     """An equal-weight lottery with one window per offset: k consecutive
     sorted positions starting (k-1)//2 left of the low median, moved right
-    by the offset.  A window that would leave the line shifts inward, so it
-    still holds k agents and the median."""
+    by the offset.  With offset 0 and k <= n, or offset -1, k=2 and n >= 3,
+    the window lies on the line and holds the low median."""
     base = (n - 1) // 2 - (k - 1) // 2
-    starts = (max(0, min(base + offset, n - k)) for offset in offsets)
+    starts = (base + offset for offset in offsets)
     return len(offsets), tuple((tuple(range(s, s + k)), 1) for s in starts)
 
 
