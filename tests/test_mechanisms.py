@@ -202,7 +202,7 @@ class TestMedianBall:
     )
     def test_window_is_contiguous_and_contains_median(self, mech, variant):
         # Every mechanism opens k consecutive stable sorted positions that
-        # contain a median position, on every shape it accepts.
+        # contain the low median, on every shape it accepts.
         shapes = [
             (n, k)
             for n in range(2, 9)
@@ -220,7 +220,7 @@ class TestMedianBall:
             for sol, _ in lot.support:
                 positions = sorted(order.index(h) for h in sol.hosts)
                 assert positions == list(range(positions[0], positions[0] + k))
-                assert positions[0] <= n // 2 and (n - 1) // 2 <= positions[-1]
+                assert positions[0] <= (n - 1) // 2 <= positions[-1]
 
         run()
 
