@@ -32,7 +32,6 @@ from .model import (
     Lottery,
     Solution,
     Variant,
-    agent_cost,
     as_coord,
     coord_str,
     expected_agent_cost,
@@ -52,7 +51,6 @@ from .verification import (
     SpScan,
     SpViolation,
     approx_ratio,
-    candidate_misreports,
     run_regressions,
     sp_scan,
     worst_ratio_search,
@@ -83,12 +81,10 @@ __all__ = [
     "SpViolation",
     "UnsupportedVariantError",
     "Variant",
-    "agent_cost",
     "apply",
     "approx_ratio",
     "as_coord",
     "brute_force_optimal",
-    "candidate_misreports",
     "coord_str",
     "declared_bound",
     "dump_instance",

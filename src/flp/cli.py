@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import enum
 import sys
-from typing import Any
+from typing import Any, Callable, TextIO
 
 from .bounds import declared_bound, is_strategyproof
 from .errors import (
@@ -31,7 +31,7 @@ from .errors import (
 from .fileio import (
     RESULT_FORMAT,
     RESULT_VERSION,
-    dual,
+    float_15,
     instance_digest,
     load_instance,
     lottery_to_list,
@@ -42,7 +42,13 @@ from .generators import Family, GenSpec, generate
 from .mechanisms import MechanismId, apply, position_rule
 from .model import Coord, Instance, Variant, coord_str
 from .solver import brute_force_optimal, fast_optimal_sum
-from .verification import approx_ratio, run_regressions, sp_scan, worst_ratio_search
+from .verification import (
+    approx_ratio,
+    check_grid_points,
+    run_regressions,
+    sp_scan,
+    worst_ratio_search,
+)
 
 
 class ExitCode(enum.IntEnum):
@@ -59,12 +65,13 @@ def _base_record(command: str) -> dict[str, Any]:
     return {"format": RESULT_FORMAT, "version": RESULT_VERSION, "command": command}
 
 
-def _emit(record: dict[str, Any], out_path: str | None) -> None:
-    if out_path is None:
-        write_record(record, sys.stdout)
+def _emit(write: Callable[[Any, TextIO], None], payload: Any, out: str | None) -> None:
+    """Write ``payload`` with ``write`` to the path ``out``, or to stdout."""
+    if out is None:
+        write(payload, sys.stdout)
     else:
-        with open(out_path, "w", encoding="utf-8") as fp:
-            write_record(record, fp)
+        with open(out, "w", encoding="utf-8") as fp:
+            write(payload, fp)
 
 
 def _duals(**values: Coord) -> dict[str, Any]:
@@ -72,7 +79,7 @@ def _duals(**values: Coord) -> dict[str, Any]:
     key and the 15-digit decimal under ``<key>_float``."""
     fields: dict[str, Any] = {}
     for key, value in values.items():
-        fields[key], fields[f"{key}_float"] = dual(value)
+        fields[key], fields[f"{key}_float"] = coord_str(value), float_15(value)
     return fields
 
 
@@ -109,7 +116,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         record["fast_solver_coordinates"] = [
             coord_str(c) for c in fast.solution.coords(inst)
         ]
-    _emit(record, args.out)
+    _emit(write_record, record, args.out)
     return ExitCode.OK
 
 
@@ -132,7 +139,7 @@ def cmd_mech(args: argparse.Namespace) -> int:
             ),
         }
     )
-    _emit(record, args.out)
+    _emit(write_record, record, args.out)
     return ExitCode.OK
 
 
@@ -153,6 +160,7 @@ def _gen_spec(args: argparse.Namespace, mech: MechanismId) -> GenSpec:
 def cmd_verify_sp(args: argparse.Namespace) -> int:
     mech = MechanismId(args.mech)
     spec = _gen_spec(args, mech)
+    check_grid_points(args.grid_points)
     instances = generate(spec, args.trials)
     checked = 0
     evaluated = 0
@@ -191,7 +199,7 @@ def cmd_verify_sp(args: argparse.Namespace) -> int:
             "violation": violation,
         }
     )
-    _emit(record, args.out)
+    _emit(write_record, record, args.out)
     if violation is not None:
         print(
             f"strategyproofness violation: {mech.value} on seed index "
@@ -220,16 +228,12 @@ def cmd_ratio_sweep(args: argparse.Namespace) -> int:
                 "mech_cost": coord_str(report.mech_cost),
                 "opt_cost": coord_str(report.opt_cost),
                 "ratio": coord_str(report.ratio),
-                "ratio_float": dual(report.ratio)[1],
+                "ratio_float": float_15(report.ratio),
             }
         )
         if worst is None or report.ratio > worst.ratio:
             worst = report
-    if args.out is None:
-        write_sweep_csv(rows, sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            write_sweep_csv(rows, fp)
+    _emit(write_sweep_csv, rows, args.out)
     if bound is not None and worst is not None and worst.ratio > bound:
         print(
             f"bound exceeded: {mech.value} reached ratio {worst.ratio} "
@@ -267,7 +271,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             ),
         }
     )
-    _emit(record, args.out)
+    _emit(write_record, record, args.out)
     return ExitCode.OK
 
 

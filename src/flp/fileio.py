@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 from fractions import Fraction
@@ -123,14 +122,11 @@ def load_instance(path: str) -> Instance:
 
 
 def dump_instance(inst: Instance, path: str) -> None:
+    """Write ``inst`` as an instance file.  Serialised first, so a value that
+    cannot become text leaves no file behind."""
+    text = json.dumps(instance_to_dict(inst), indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fp:
-        json.dump(instance_to_dict(inst), fp, indent=2)
-        fp.write("\n")
-
-
-def dual(value: Coord) -> tuple[str, float | None]:
-    """(exact rational string, 15-digit decimal) pair for result records."""
-    return coord_str(value), float_15(value)
+        fp.write(text)
 
 
 def lottery_to_list(inst: Instance, lottery: Lottery) -> list[dict[str, Any]]:
@@ -168,35 +164,5 @@ def write_sweep_csv(rows: Iterable[dict[str, Any]], out: TextIO) -> None:
             max_ratio = ratio
     if max_ratio is not None:
         writer.writerow(
-            ["max", "", "", "", "", "", str(max_ratio), float_15(max_ratio)]
+            ["max", "", "", "", "", "", coord_str(max_ratio), float_15(max_ratio)]
         )
-
-
-def read_sweep_csv(text: str) -> tuple[list[dict[str, str]], Fraction | None]:
-    """Parse a sweep CSV back into rows; validates the header and that every
-    ratio re-parses as an exact rational.  Returns (data rows, max ratio)."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("sweep CSV is empty") from None
-    if tuple(header) != SWEEP_COLUMNS:
-        raise ParseError(f"sweep CSV header {header!r} != {list(SWEEP_COLUMNS)!r}")
-    rows = []
-    max_ratio: Fraction | None = None
-    for lineno, fields in enumerate(reader, start=2):
-        if len(fields) != len(SWEEP_COLUMNS):
-            raise ParseError(f"sweep CSV line {lineno}: expected "
-                             f"{len(SWEEP_COLUMNS)} fields, got {len(fields)}")
-        row = dict(zip(SWEEP_COLUMNS, fields))
-        try:
-            ratio = Fraction(row["ratio"])
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(
-                f"sweep CSV line {lineno}: ratio {row['ratio']!r} is not rational"
-            ) from None
-        if row["seed_index"] == "max":
-            max_ratio = ratio
-        else:
-            rows.append(row)
-    return rows, max_ratio

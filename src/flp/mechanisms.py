@@ -9,10 +9,11 @@ deliberately manipulable negative control used to validate the refuter.
 from __future__ import annotations
 
 import enum
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import InputError, MechanismPreconditionError
-from .model import Coord, Instance, Lottery, Solution, Variant, exact_div, order_stats
+from .model import Coord, Instance, Lottery, Solution, Variant, order_stats
 from .solver import optimal_sum_window, require_sum_variant
 
 
@@ -156,7 +157,7 @@ def apply(mech: MechanismId | str, inst: Instance) -> Lottery:
         tuple(
             (
                 Solution(frozenset(order[p] for p in positions)),
-                1 if weight == den else exact_div(weight, den),
+                1 if weight == den else Fraction(weight, den),
             )
             for positions, weight in outcomes
         )

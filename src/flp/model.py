@@ -12,6 +12,7 @@ Agent indices are 0-based positions into ``Instance.locations``.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -52,13 +53,15 @@ def as_coord(value: object) -> Coord:
 
 def coord_str(value: Coord) -> str:
     """Canonical text form of a coordinate ("3", "-1/2").  Round-trips through
-    :func:`as_coord` without value change."""
-    return str(value)
-
-
-def exact_div(num: Coord, den: Coord) -> Fraction:
-    """Exact rational division (never falls back to float)."""
-    return Fraction(num) / den
+    :func:`as_coord` without value change.  Python's int/str digit limit
+    applies; a longer value raises InputError."""
+    try:
+        return str(value)
+    except ValueError:
+        raise InputError(
+            f"exact value exceeds the {sys.get_int_max_str_digits()}-digit int/str "
+            "conversion limit; lift it with sys.set_int_max_str_digits(0)"
+        ) from None
 
 
 def _require_coord(value: object, what: str) -> Coord:
@@ -134,12 +137,6 @@ class Solution:
             if type(h) is not int or h < 0:
                 raise InputError(f"host must be a nonnegative agent index, got {h!r}")
 
-    @classmethod
-    def of(cls, *indices: int) -> "Solution":
-        if len(set(indices)) != len(indices):
-            raise InputError(f"duplicate host indices in {indices!r}")
-        return cls(frozenset(indices))
-
     def sorted_hosts(self) -> tuple[int, ...]:
         return tuple(sorted(self.hosts))
 
@@ -195,10 +192,6 @@ class Lottery:
             raise InvariantError(f"lottery probabilities sum to {total}, expected 1")
         object.__setattr__(self, "support", tuple(cleaned))
 
-    @classmethod
-    def point_mass(cls, sol: Solution) -> "Lottery":
-        return cls(((sol, 1),))
-
 
 def point_cost(
     point: Coord, coords: Sequence[Coord], hosts: Iterable[int], variant: Variant
@@ -216,14 +209,6 @@ def point_cost(
         if d > worst:
             worst = d
     return worst
-
-
-def agent_cost(inst: Instance, sol: Solution, agent: int) -> Coord:
-    """Variant-dependent cost of one agent: the sum (SUM) or maximum (MAX)
-    of its distances to the open facilities."""
-    inst.check_agent(agent)
-    check_feasible(inst, sol)
-    return point_cost(inst.locations[agent], inst.locations, sol.hosts, inst.variant)
 
 
 def social_cost(inst: Instance, sol: Solution) -> Coord:

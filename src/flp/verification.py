@@ -23,7 +23,6 @@ from .model import (
     Instance,
     Variant,
     as_coord,
-    exact_div,
     expected_agent_cost,
     expected_social_cost,
     point_cost,
@@ -92,14 +91,19 @@ def _div_exact(num: int, den: int) -> int:
     return quotient
 
 
+def check_grid_points(grid_points: int) -> None:
+    """Raise InputError unless ``grid_points`` is a usable grid size."""
+    if grid_points < 0:
+        raise InputError(f"grid_points must be >= 0, got {grid_points}")
+
+
 def _scaled_candidates(
     inst: Instance, grid_points: int
 ) -> tuple[int, tuple[int, ...], set[int]]:
     """The scan scale D, the locations times D, and the agent-independent
     candidates times D: midpoints of consecutive distinct sorted coordinates,
     the two outer points, and the uniform grid."""
-    if grid_points < 0:
-        raise InputError(f"grid_points must be >= 0, got {grid_points}")
+    check_grid_points(grid_points)
     scale = _scan_scale(inst, grid_points)
     locs = tuple(_div_exact(x.numerator * scale, x.denominator) for x in inst.locations)
     distinct = sorted(set(locs))
@@ -112,23 +116,6 @@ def _scaled_candidates(
         step = _div_exact(outer_hi - outer_lo, grid_points - 1)
         cands.update(range(outer_lo, outer_hi + 1, step))
     return scale, locs, cands
-
-
-def candidate_misreports(
-    inst: Instance, agent: int, grid_points: int = 200
-) -> tuple[Coord, ...]:
-    """Deterministic, deduplicated misreport candidates for one agent.
-
-    The set combines every other agent's coordinate, the midpoints of
-    consecutive distinct sorted coordinates, the two outer points min - span
-    and max + span (span = max - min, or 1 when all reports coincide), and a
-    uniform rational grid of ``grid_points`` values across [min - span,
-    max + span].  Returned sorted ascending.
-    """
-    inst.check_agent(agent)
-    scale, locs, cands = _scaled_candidates(inst, grid_points)
-    cands.update(x for i, x in enumerate(locs) if i != agent)
-    return tuple(as_coord(Fraction(x, scale)) for x in sorted(cands))
 
 
 def _weighted_cost(
@@ -226,7 +213,7 @@ def approx_ratio(mech: MechanismId | str, inst: Instance) -> RatioReport:
             )
         ratio = Fraction(1)
     else:
-        ratio = exact_div(mech_cost, opt.cost)
+        ratio = Fraction(mech_cost, opt.cost)
     if ratio < 1:
         raise InvariantError(
             f"mechanism cost {mech_cost} below the optimum {opt.cost}"
@@ -289,7 +276,7 @@ def _hill_climb(mech: MechanismId, start: RatioReport, rounds: int) -> RatioRepo
                     if report.ratio > best.ratio:
                         best = report
                         moved = True
-        step = exact_div(step, 2)
+        step = Fraction(step, 2)
     return best
 
 

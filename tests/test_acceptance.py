@@ -98,13 +98,13 @@ def test_c1_exact_small_instance_optima():
         failures.append(f"max optimum {opt.cost} != 5")
     if opt.solution.coords(max_inst) != (F(-1, 2), 0):
         failures.append(f"max optimal pair {opt.solution.coords(max_inst)}")
-    if social_cost(max_inst, Solution.of(1, 2)) != F(11, 2):
+    if social_cost(max_inst, Solution({1, 2})) != F(11, 2):
         failures.append("max cost of inner pair != 11/2")
 
     sum_inst = Instance((0, 1, 2), 2, Variant.SUM)
-    if social_cost(sum_inst, Solution.of(0, 1)) != 5:
+    if social_cost(sum_inst, Solution({0, 1})) != 5:
         failures.append("sum cost of left pair != 5")
-    if social_cost(sum_inst, Solution.of(0, 2)) != 6:
+    if social_cost(sum_inst, Solution({0, 2})) != 6:
         failures.append("sum cost of outer pair != 6")
     conclude(
         "criterion 1: frozen small-instance optima",

@@ -6,6 +6,8 @@ Exit codes under test: 0 success, 1 input/parse error, 2 infeasible,
 exceeded, 6 regression failure.
 """
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -17,13 +19,28 @@ import flp.cli as cli
 import flp.verification as verification
 from flp import Instance, Variant, dump_instance
 from flp.cli import ExitCode, main
-from flp.fileio import read_sweep_csv
+from flp.fileio import SWEEP_COLUMNS
 
 
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_sweep(text):
+    """A sweep CSV's data rows as dicts, and the exact ratio of its summary
+    row (None without data rows), which must be the largest ratio."""
+    header, *lines = csv.reader(io.StringIO(text))
+    assert tuple(header) == SWEEP_COLUMNS
+    rows = [dict(zip(SWEEP_COLUMNS, fields, strict=True)) for fields in lines]
+    if not rows:
+        return rows, None
+    summary = rows.pop()
+    assert summary["seed_index"] == "max"
+    max_ratio = F(summary["ratio"])
+    assert max_ratio == max(F(row["ratio"]) for row in rows)
+    return rows, max_ratio
 
 
 def write_instance(tmp_path, locs, k, variant, name="inst.json"):
@@ -235,6 +252,18 @@ class TestMech:
         ratio = F(mech_cost) / opt_cost  # 1, or just under 3/2 at 1e5000
         assert (record["ratio"], record["ratio_float"]) == (str(ratio), float(ratio))
 
+    def test_duals_pair_exact_string_and_decimal(self):
+        fields = cli._duals(b=F(2, 3), a=5, c=F(10**400, 3))
+        assert list(fields) == ["b", "b_float", "a", "a_float", "c", "c_float"]
+        assert fields == {
+            "b": "2/3",
+            "b_float": 0.666666666666667,
+            "a": "5",
+            "a_float": 5.0,
+            "c": f"{10**400}/3",
+            "c_float": None,
+        }
+
     def test_unknown_mechanism_exits_1(self, sum_triple, capsys):
         code, _, _ = run_cli(
             ["mech", "--mech", "bogus", "--instance", sum_triple], capsys
@@ -395,7 +424,7 @@ class TestRatioSweep:
     def test_ratios_within_declared_bound(self, tmp_path, capsys):
         code, out_path, _ = self.run_sweep(tmp_path, capsys)
         assert code == ExitCode.OK
-        rows, max_ratio = read_sweep_csv(out_path.read_text())
+        rows, max_ratio = read_sweep(out_path.read_text())
         assert len(rows) == 25
         assert max_ratio is not None and max_ratio <= F(3, 2)  # n/(n-1) for n=3
         for row in rows:
@@ -427,7 +456,7 @@ class TestRatioSweep:
             capsys,
         )
         assert code == ExitCode.OK
-        rows, max_ratio = read_sweep_csv(out)
+        rows, max_ratio = read_sweep(out)
         assert len(rows) == 10
         assert max_ratio == 1  # two-medians is sum-optimal on even n
 
@@ -458,7 +487,7 @@ class TestRatioSweep:
             capsys,
         )
         assert code == ExitCode.OK
-        _, max_ratio = read_sweep_csv(out_path.read_text())
+        _, max_ratio = read_sweep(out_path.read_text())
         assert max_ratio is not None and max_ratio <= F(14, 8)  # (3n-1)/(2n-2)
 
     def test_large_max_shape_is_solved(self, capsys):
@@ -480,7 +509,7 @@ class TestRatioSweep:
             capsys,
         )
         assert code == ExitCode.OK
-        rows, max_ratio = read_sweep_csv(out)
+        rows, max_ratio = read_sweep(out)
         assert len(rows) == 1
         assert 1 <= max_ratio <= 8  # median-ball's max ceiling k + 1
 
@@ -503,7 +532,7 @@ class TestRatioSweep:
             capsys,
         )
         assert code == ExitCode.OK
-        rows, max_ratio = read_sweep_csv(out)
+        rows, max_ratio = read_sweep(out)
         assert len(rows) == 1
         assert rows[0]["mech_cost"] == rows[0]["opt_cost"]
         assert max_ratio == 1
@@ -559,6 +588,26 @@ class TestShapeRefusedBeforeGenerating:
         code, out, err = run_cli([command, *args, "--trials", trials], capsys)
         assert code == ExitCode.PRECONDITION and out == ""
         assert err == "error: two-medians requires an even number of agents, got n=3\n"
+
+    # A negative grid is refused before generating, even with 0 trials, but
+    # only once the shape is known to be feasible and accepted.
+    @pytest.mark.parametrize(
+        "mech,n,k,want",
+        [
+            ("median-right", "3", "2", ExitCode.ERROR),
+            ("two-medians", "3", "2", ExitCode.PRECONDITION),
+            ("median-right", "3", "5", ExitCode.INFEASIBLE),
+        ],
+    )
+    @pytest.mark.parametrize("trials", ["0", "1"])
+    def test_negative_grid_points(self, mech, n, k, want, trials, capsys):
+        args = ["--mech", mech, "--variant", "sum", "--n", n, "--k", k]
+        code, out, err = run_cli(
+            ["verify-sp", *args, "--grid-points", "-1", "--trials", trials], capsys
+        )
+        assert code == want and out == ""
+        if want == ExitCode.ERROR:
+            assert err == "error: grid_points must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("command", ["verify-sp", "ratio-sweep", "search"])
     @pytest.mark.parametrize("n,k", [("1", "2"), ("3", "5")])

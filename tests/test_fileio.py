@@ -1,8 +1,9 @@
 """Serialization tests: exact JSON instance round-trips, strict validation
-with field-accurate errors, dual rational/decimal result fields, and the
-sweep CSV format.
+with field-accurate errors, 15-digit decimal display fields, the sweep CSV
+format, and Python's int/str digit limit outside the CLI.
 """
 
+import csv
 import io
 import json
 import sys
@@ -12,11 +13,13 @@ import pytest
 
 from flp import (
     InfeasibleError,
+    InputError,
     Instance,
     Lottery,
     ParseError,
     Solution,
     Variant,
+    coord_str,
     dump_instance,
     instance_digest,
     instance_from_dict,
@@ -25,10 +28,8 @@ from flp import (
 )
 from flp.fileio import (
     SWEEP_COLUMNS,
-    dual,
     float_15,
     lottery_to_list,
-    read_sweep_csv,
     write_record,
     write_sweep_csv,
 )
@@ -127,10 +128,46 @@ class TestStrictParsing:
             load_instance(str(tmp_path / "absent.json"))
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
+)
+class TestDigitLimit:
+    """Outside the CLI, Python's default 4,300-digit int/str limit holds."""
+
+    HUGE = Instance((0, 10**5000, 3), 2, Variant.SUM)
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        sys.set_int_max_str_digits(4300)
+
+    def test_coord_str_names_the_limit(self):
+        with pytest.raises(InputError, match=r"sys\.set_int_max_str_digits"):
+            coord_str(10**5000)
+        with pytest.raises(InputError, match="4300-digit"):
+            coord_str(F(1, 10**5000))
+
+    def test_digest_raises_input_error(self):
+        with pytest.raises(InputError, match="int/str conversion limit"):
+            instance_digest(self.HUGE)
+
+    def test_dump_leaves_no_file(self, tmp_path):
+        path = tmp_path / "huge.json"
+        with pytest.raises(InputError, match="int/str conversion limit"):
+            dump_instance(self.HUGE, str(path))
+        assert not path.exists()
+
+    def test_lifted_limit_round_trips(self, tmp_path):
+        sys.set_int_max_str_digits(0)
+        path = str(tmp_path / "huge.json")
+        dump_instance(self.HUGE, path)
+        assert load_instance(path) == self.HUGE
+        assert coord_str(10**5000) == "1" + "0" * 5000
+
+
 class TestDualRepresentation:
-    def test_dual_pairs(self):
-        assert dual(F(2, 3)) == ("2/3", 0.666666666666667)
-        assert dual(5) == ("5", 5.0)
+    def test_float_15_values(self):
+        assert float_15(F(2, 3)) == 0.666666666666667
+        assert float_15(5) == 5.0
 
     def test_float_15_rounds_to_15_significant_digits(self):
         assert float_15(F(1, 3)) == 0.333333333333333
@@ -142,10 +179,10 @@ class TestDualRepresentation:
         # Within range, but 15 significant digits round it past the largest double.
         assert float_15(int(sys.float_info.max)) is None
         assert float_15(F(1, 10**400)) == 0.0
-        assert dual(F(10**400, 3)) == (f"{10**400}/3", None)
+        assert float_15(F(10**400, 3)) is None
 
     def test_lottery_entries_sorted_and_dual(self):
-        lot = Lottery(((Solution.of(1, 2), F(1, 3)), (Solution.of(0, 1), F(2, 3))))
+        lot = Lottery(((Solution({1, 2}), F(1, 3)), (Solution({0, 1}), F(2, 3))))
         # As strings "10" < "9" and "-2" < "-3"; entries follow the numbers.
         for locs in ((0, 1, 3), (9, 10, 11), (-3, -2, -1)):
             inst = Instance(locs, 2, Variant.SUM)
@@ -196,10 +233,11 @@ class TestRecordsAndSweeps:
         write_sweep_csv(self.rows(), out)
         text = out.getvalue()
         assert text.splitlines()[0] == ",".join(SWEEP_COLUMNS)
-        rows, max_ratio = read_sweep_csv(text)
-        assert len(rows) == 2
-        assert rows[0]["ratio"] == "3/2"
-        assert max_ratio == F(3, 2)
+        header, *rows, summary = csv.reader(io.StringIO(text))
+        assert tuple(header) == SWEEP_COLUMNS
+        assert [len(row) for row in rows] == [len(SWEEP_COLUMNS)] * 2
+        assert rows[0][SWEEP_COLUMNS.index("ratio")] == "3/2"
+        assert summary == ["max", "", "", "", "", "", "3/2", "1.5"]
 
     def test_sweep_uses_unix_line_endings(self):
         out = io.StringIO()
@@ -209,24 +247,7 @@ class TestRecordsAndSweeps:
     def test_empty_sweep_has_no_summary(self):
         out = io.StringIO()
         write_sweep_csv([], out)
-        rows, max_ratio = read_sweep_csv(out.getvalue())
-        assert rows == [] and max_ratio is None
-
-    def test_header_validated(self):
-        with pytest.raises(ParseError, match="header"):
-            read_sweep_csv("a,b,c\n1,2,3\n")
-
-    def test_empty_text_rejected(self):
-        with pytest.raises(ParseError, match="empty"):
-            read_sweep_csv("")
-
-    def test_irrational_ratio_rejected(self):
-        out = io.StringIO()
-        write_sweep_csv(self.rows(), out)
-        for bad in ("1.5x", "1/0"):
-            broken = out.getvalue().replace("3/2", bad)
-            with pytest.raises(ParseError, match="not rational"):
-                read_sweep_csv(broken)
+        assert out.getvalue() == ",".join(SWEEP_COLUMNS) + "\n"
 
 
 if __name__ == "__main__":

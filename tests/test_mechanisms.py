@@ -67,7 +67,7 @@ class TestTwoMedians:
         inst = sum_inst(0, 1, 2, 3)
         lot = apply(MechanismId.TWO_MEDIANS, inst)
         assert len(lot.support) == 1
-        assert lot.support[0][0] == Solution.of(1, 2)
+        assert lot.support[0][0] == Solution({1, 2})
 
     def test_two_agents(self):
         lot = apply(MechanismId.TWO_MEDIANS, sum_inst(5, 2))
@@ -85,7 +85,7 @@ class TestTwoMedians:
 class TestMedianRight:
     def test_basic(self):
         lot = apply(MechanismId.MEDIAN_RIGHT, sum_inst(0, 1, 2))
-        assert lot.support[0][0] == Solution.of(1, 2)
+        assert lot.support[0][0] == Solution({1, 2})
 
     def test_coincident_median(self):
         inst = sum_inst(0, 0, 1)
@@ -94,7 +94,7 @@ class TestMedianRight:
 
     def test_two_agents(self):
         lot = apply(MechanismId.MEDIAN_RIGHT, sum_inst(5, 2))
-        assert lot.support[0][0] == Solution.of(0, 1)
+        assert lot.support[0][0] == Solution({0, 1})
 
     def test_k_must_be_two(self):
         with pytest.raises(MechanismPreconditionError):
@@ -104,7 +104,7 @@ class TestMedianRight:
 class TestMedianLeft:
     def test_basic(self):
         lot = apply(MechanismId.MEDIAN_LEFT, sum_inst(0, 1, 2))
-        assert lot.support[0][0] == Solution.of(0, 1)
+        assert lot.support[0][0] == Solution({0, 1})
 
     def test_coincident(self):
         inst = sum_inst(0, 0, 1)
@@ -188,7 +188,7 @@ class TestMedianBall:
     def test_k_equals_n_takes_everyone(self):
         inst = sum_inst(3, 1, 2, k=3)
         lot = apply(MechanismId.MEDIAN_BALL, inst)
-        assert lot.support[0][0] == Solution.of(0, 1, 2)
+        assert lot.support[0][0] == Solution({0, 1, 2})
 
     @pytest.mark.parametrize(
         "mech, variant",
@@ -278,7 +278,7 @@ class TestOptSumBaseline:
         inst = sum_inst(0, 1, 3)
         lot = apply(MechanismId.OPT_SUM_BASELINE, inst)
         assert len(lot.support) == 1
-        assert lot.support[0][0] == Solution.of(0, 1)
+        assert lot.support[0][0] == Solution({0, 1})
 
     def test_max_variant_unsupported(self):
         with pytest.raises(UnsupportedVariantError):

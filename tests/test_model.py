@@ -22,7 +22,6 @@ from flp import (
     ParseError,
     Solution,
     Variant,
-    agent_cost,
     as_coord,
     coord_str,
     expected_agent_cost,
@@ -40,6 +39,12 @@ def sum_inst(*locs, k=2):
 
 def max_inst(*locs, k=2):
     return Instance(tuple(locs), k, Variant.MAX)
+
+
+def agent_cost(inst, sol, agent):
+    """One agent's cost toward ``sol``, through the public expected-cost path."""
+    lottery = Lottery(((sol, 1),))
+    return expected_agent_cost(inst, lottery, agent, inst.locations[agent])
 
 
 def naive_cost(locs, hosts, agent, variant):
@@ -133,30 +138,31 @@ class TestInstanceValidation:
 class TestAgentCost:
     def test_sum_variant(self):
         # agent at 2, facilities at 0 and 1: 2 + 1
-        assert agent_cost(sum_inst(0, 1, 2), Solution.of(0, 1), 2) == 3
+        assert agent_cost(sum_inst(0, 1, 2), Solution({0, 1}), 2) == 3
 
     def test_max_variant(self):
         # agent at 2, facilities at -1/2 and 0: max(5/2, 2)
         inst = max_inst(F(-1, 2), 0, 1, 2)
-        assert agent_cost(inst, Solution.of(0, 1), 3) == F(5, 2)
+        assert agent_cost(inst, Solution({0, 1}), 3) == F(5, 2)
 
     def test_agent_index_checked(self):
+        lottery = Lottery(((Solution({0, 1}), 1),))
         with pytest.raises(InputError):
-            agent_cost(sum_inst(0, 1), Solution.of(0, 1), 5)
+            expected_agent_cost(sum_inst(0, 1), lottery, 5, 0)
 
     def test_solution_size_checked(self):
         with pytest.raises(InputError):
-            agent_cost(sum_inst(0, 1, 2), Solution.of(0, 1, 2), 0)
+            agent_cost(sum_inst(0, 1, 2), Solution({0, 1, 2}), 0)
 
     def test_host_range_checked(self):
         with pytest.raises(InputError):
-            agent_cost(sum_inst(0, 1, 2), Solution.of(0, 9), 0)
+            agent_cost(sum_inst(0, 1, 2), Solution({0, 9}), 0)
 
     @given(instances())
     @settings(max_examples=60)
     def test_matches_naive_evaluator(self, inst):
         hosts = tuple(range(inst.k))
-        sol = Solution.of(*hosts)
+        sol = Solution(set(hosts))
         for agent in range(inst.n):
             assert agent_cost(inst, sol, agent) == naive_cost(
                 inst.locations, hosts, agent, inst.variant
@@ -166,13 +172,13 @@ class TestAgentCost:
 class TestSocialCost:
     def test_sum_values(self):
         inst = sum_inst(0, 1, 2)
-        assert social_cost(inst, Solution.of(0, 1)) == 5
-        assert social_cost(inst, Solution.of(0, 2)) == 6
+        assert social_cost(inst, Solution({0, 1})) == 5
+        assert social_cost(inst, Solution({0, 2})) == 6
 
     def test_max_values(self):
         inst = max_inst(F(-1, 2), 0, 1, 2)
-        assert social_cost(inst, Solution.of(0, 1)) == 5
-        assert social_cost(inst, Solution.of(1, 2)) == F(11, 2)
+        assert social_cost(inst, Solution({0, 1})) == 5
+        assert social_cost(inst, Solution({1, 2})) == F(11, 2)
 
     def test_three_agent_pair_identities(self):
         # For x <= y <= z: SC{x,y} = 3 d(x,y) + 2 d(y,z); SC{y,z} = 2 d(x,y)
@@ -180,14 +186,14 @@ class TestSocialCost:
         for x, y, z in [(0, 1, 2), (0, 1, 3), (-2, F(1, 2), 4)]:
             inst = sum_inst(x, y, z)
             dxy, dyz = y - x, z - y
-            assert social_cost(inst, Solution.of(0, 1)) == 3 * dxy + 2 * dyz
-            assert social_cost(inst, Solution.of(1, 2)) == 2 * dxy + 3 * dyz
-            assert social_cost(inst, Solution.of(0, 2)) == 3 * dxy + 3 * dyz
+            assert social_cost(inst, Solution({0, 1})) == 3 * dxy + 2 * dyz
+            assert social_cost(inst, Solution({1, 2})) == 2 * dxy + 3 * dyz
+            assert social_cost(inst, Solution({0, 2})) == 3 * dxy + 3 * dyz
 
     @given(instances())
     @settings(max_examples=60)
     def test_equals_sum_of_agent_costs(self, inst):
-        sol = Solution.of(*range(inst.k))
+        sol = Solution(set(range(inst.k)))
         assert social_cost(inst, sol) == sum(
             agent_cost(inst, sol, a) for a in range(inst.n)
         )
@@ -197,7 +203,7 @@ class TestCostInvariants:
     @given(instances(), st.integers(min_value=-10, max_value=10))
     @settings(max_examples=60)
     def test_translation_invariance(self, inst, shift):
-        sol = Solution.of(*range(inst.k))
+        sol = Solution(set(range(inst.k)))
         shifted = Instance(
             tuple(x + shift for x in inst.locations), inst.k, inst.variant
         )
@@ -206,7 +212,7 @@ class TestCostInvariants:
     @given(instances(), st.fractions(min_value=F(1, 5), max_value=5, max_denominator=6))
     @settings(max_examples=60)
     def test_scaling_equivariance(self, inst, scale):
-        sol = Solution.of(*range(inst.k))
+        sol = Solution(set(range(inst.k)))
         scaled = Instance(
             tuple(x * scale for x in inst.locations), inst.k, inst.variant
         )
@@ -218,8 +224,8 @@ class TestCostInvariants:
         # Reverse the agent order and remap the solution accordingly.
         n = inst.n
         reversed_inst = Instance(inst.locations[::-1], inst.k, inst.variant)
-        sol = Solution.of(*range(inst.k))
-        mapped = Solution.of(*(n - 1 - h for h in sol.hosts))
+        sol = Solution(set(range(inst.k)))
+        mapped = Solution({n - 1 - h for h in sol.hosts})
         assert social_cost(reversed_inst, mapped) == social_cost(inst, sol)
 
     @given(instances(variant=Variant.SUM))
@@ -227,7 +233,7 @@ class TestCostInvariants:
     def test_max_cost_sandwich(self, inst):
         # For every agent: max-cost <= sum-cost <= k * max-cost.
         as_max = Instance(inst.locations, inst.k, Variant.MAX)
-        sol = Solution.of(*range(inst.k))
+        sol = Solution(set(range(inst.k)))
         for agent in range(inst.n):
             hi = agent_cost(as_max, sol, agent)
             lo = agent_cost(inst, sol, agent)
@@ -235,64 +241,56 @@ class TestCostInvariants:
 
 
 class TestLottery:
-    def test_point_mass(self):
-        lot = Lottery.point_mass(Solution.of(0, 1))
-        assert lot.support == ((Solution.of(0, 1), 1),)
-
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(InvariantError):
-            Lottery(((Solution.of(0, 1), F(1, 2)), (Solution.of(1, 2), F(1, 3))))
+            Lottery(((Solution({0, 1}), F(1, 2)), (Solution({1, 2}), F(1, 3))))
 
     def test_negative_probability_rejected(self):
         with pytest.raises(InvariantError):
-            Lottery(((Solution.of(0, 1), F(3, 2)), (Solution.of(1, 2), F(-1, 2))))
+            Lottery(((Solution({0, 1}), F(3, 2)), (Solution({1, 2}), F(-1, 2))))
 
     def test_duplicate_solutions_rejected(self):
         with pytest.raises(InvariantError):
-            Lottery(((Solution.of(0, 1), F(1, 2)), (Solution.of(1, 0), F(1, 2))))
+            Lottery(((Solution({0, 1}), F(1, 2)), (Solution({1, 0}), F(1, 2))))
 
     def test_zero_probability_dropped(self):
-        lot = Lottery(((Solution.of(0, 1), 0), (Solution.of(1, 2), 1)))
+        lot = Lottery(((Solution({0, 1}), 0), (Solution({1, 2}), 1)))
         assert len(lot.support) == 1
-        assert lot.support[0][0] == Solution.of(1, 2)
-
-    def test_solution_duplicate_indices_rejected(self):
-        with pytest.raises(InputError):
-            Solution.of(1, 1)
+        assert lot.support[0][0] == Solution({1, 2})
 
 
 class TestExpectedCosts:
     def test_expected_social_cost_sum(self):
         inst = sum_inst(0, 1, 2)
-        lot = Lottery(((Solution.of(0, 1), F(1, 2)), (Solution.of(1, 2), F(1, 2))))
+        lot = Lottery(((Solution({0, 1}), F(1, 2)), (Solution({1, 2}), F(1, 2))))
         assert expected_social_cost(inst, lot) == 5
 
     def test_expected_social_cost_max(self):
         inst = max_inst(0, 0, 1)
-        lot = Lottery(((Solution.of(0, 1), F(1, 2)), (Solution.of(1, 2), F(1, 2))))
+        lot = Lottery(((Solution({0, 1}), F(1, 2)), (Solution({1, 2}), F(1, 2))))
         assert expected_social_cost(inst, lot) == 2
 
     def test_expected_agent_cost_mixed(self):
         inst = sum_inst(0, 1, 3)
-        lot = Lottery(((Solution.of(0, 1), F(2, 3)), (Solution.of(1, 2), F(1, 3))))
+        lot = Lottery(((Solution({0, 1}), F(2, 3)), (Solution({1, 2}), F(1, 3))))
         assert expected_agent_cost(inst, lot, 2, 3) == 4
 
     def test_expected_agent_cost_point_mass(self):
         inst = sum_inst(0, 1, 2)
-        lot = Lottery.point_mass(Solution.of(0, 1))
+        lot = Lottery(((Solution({0, 1}), 1),))
         assert expected_agent_cost(inst, lot, 2, 2) == 3
 
     def test_true_location_differs_from_report(self):
         # Agent 2 reported 3 but truly sits at 0: cost measured from 0.
         inst = sum_inst(0, 1, 3)
-        lot = Lottery.point_mass(Solution.of(1, 2))
+        lot = Lottery(((Solution({1, 2}), 1),))
         assert expected_agent_cost(inst, lot, 2, 0) == 1 + 3
 
     @given(instances())
     @settings(max_examples=60)
     def test_point_mass_matches_social_cost(self, inst):
-        sol = Solution.of(*range(inst.k))
-        assert expected_social_cost(inst, Lottery.point_mass(sol)) == social_cost(
+        sol = Solution(set(range(inst.k)))
+        assert expected_social_cost(inst, Lottery(((sol, 1),))) == social_cost(
             inst, sol
         )
 
@@ -350,8 +348,8 @@ class TestLemmaPairCost:
     def test_matches_social_cost_of_pair(self, inst):
         order = order_stats(inst)
         m = (inst.n - 1) // 2
-        left = Solution.of(order[m - 1], order[m])
-        right = Solution.of(order[m], order[m + 1])
+        left = Solution({order[m - 1], order[m]})
+        right = Solution({order[m], order[m + 1]})
         assert lemma_pair_cost(inst, Side.LEFT) == social_cost(inst, left)
         assert lemma_pair_cost(inst, Side.RIGHT) == social_cost(inst, right)
 

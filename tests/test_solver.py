@@ -63,7 +63,7 @@ class TestBruteForce:
     def test_sum_three_agents(self):
         inst = sum_inst(0, 1, 3)
         opt = brute_force_optimal(inst)
-        assert opt.solution == Solution.of(0, 1)
+        assert opt.solution == Solution({0, 1})
         assert opt.cost == 7
         # Exhaustive cross-check of every candidate pair.
         assert sorted(social_cost(inst, s) for s in all_solutions(inst)) == [7, 8, 9]
@@ -77,12 +77,12 @@ class TestBruteForce:
 
     def test_sum_four_agents_two_medians(self):
         opt = brute_force_optimal(sum_inst(0, 1, 2, 3))
-        assert opt.solution == Solution.of(1, 2)
+        assert opt.solution == Solution({1, 2})
         assert opt.cost == 8
 
     def test_tie_returns_first_in_enumeration_order(self):
         opt = brute_force_optimal(sum_inst(0, 0, 0, 0))
-        assert opt.solution == Solution.of(0, 1)
+        assert opt.solution == Solution({0, 1})
         assert opt.cost == 0
 
     @pytest.mark.parametrize(
@@ -110,8 +110,8 @@ class TestBruteForce:
     ):
         inst = Instance(locs, 2, variant)
         opt = brute_force_optimal(inst)
-        assert social_cost(inst, Solution.of(*rival)) == opt.cost == cost
-        assert opt.solution == Solution.of(*hosts)
+        assert social_cost(inst, Solution(set(rival))) == opt.cost == cost
+        assert opt.solution == Solution(set(hosts))
 
     def test_cost_matches_certificate(self):
         inst = max_inst(0, F(1, 3), 2, 5, k=3)
@@ -123,7 +123,7 @@ class TestBruteForce:
         # One host set exists; the scan sees only the window 0 .. n-1.
         inst = Instance((7, 0, F(5, 2), 3), 4, variant)
         opt = brute_force_optimal(inst)
-        assert opt.solution == Solution.of(0, 1, 2, 3)
+        assert opt.solution == Solution({0, 1, 2, 3})
         assert opt.cost == social_cost(inst, opt.solution)
         assert opt.cost == (43 if variant is Variant.SUM else F(45, 2))
 
@@ -131,8 +131,8 @@ class TestBruteForce:
         # Windows 0 .. 2 and 1 .. 3 both cost 8; the first window wins.
         inst = max_inst(0, 1, 2, 3, k=3)
         opt = brute_force_optimal(inst)
-        assert social_cost(inst, Solution.of(1, 2, 3)) == opt.cost == 8
-        assert opt.solution == Solution.of(0, 1, 2)
+        assert social_cost(inst, Solution({1, 2, 3})) == opt.cost == 8
+        assert opt.solution == Solution({0, 1, 2})
 
     @pytest.mark.parametrize("value", ["1", "not-a-number"])
     def test_budget_variable_is_ignored(self, monkeypatch, value):
@@ -140,7 +140,7 @@ class TestBruteForce:
         # neither a tiny nor a malformed value refuses or fails a shape.
         monkeypatch.setenv("FLP_BUDGET", value)
         inst = sum_inst(0, 1, 3)
-        assert brute_force_optimal(inst) == OptResult(Solution.of(0, 1), 7)
+        assert brute_force_optimal(inst) == OptResult(Solution({0, 1}), 7)
 
     @given(instances(max_n=6))
     @settings(max_examples=40)
@@ -180,39 +180,39 @@ class TestBruteForce:
 class TestFastOptimalSum:
     def test_odd_n_right_neighbour_farther(self):
         opt = fast_optimal_sum(sum_inst(0, 1, 3))
-        assert opt.solution == Solution.of(0, 1)
+        assert opt.solution == Solution({0, 1})
         assert opt.cost == 7
 
     def test_odd_n_neighbour_tie_goes_left(self):
         opt = fast_optimal_sum(sum_inst(0, 1, 2))
-        assert opt.solution == Solution.of(0, 1)
+        assert opt.solution == Solution({0, 1})
         assert opt.cost == 5
 
     def test_odd_n_right_neighbour_closer(self):
         opt = fast_optimal_sum(sum_inst(0, 1, F(3, 2)))
-        assert opt.solution == Solution.of(1, 2)
+        assert opt.solution == Solution({1, 2})
         assert opt.cost == F(7, 2)
 
     def test_even_n_two_medians(self):
         opt = fast_optimal_sum(sum_inst(0, 1, 2, 3))
-        assert opt.solution == Solution.of(1, 2)
+        assert opt.solution == Solution({1, 2})
         assert opt.cost == 8
 
     def test_two_agents(self):
         opt = fast_optimal_sum(sum_inst(5, 2))
-        assert opt.solution == Solution.of(0, 1)
+        assert opt.solution == Solution({0, 1})
         assert opt.cost == 6
 
     def test_k_three_tie_takes_leftmost_window(self):
         # Windows {0,1,1} and {1,1,2} both cost 8; the left one wins.
         opt = fast_optimal_sum(sum_inst(0, 1, 1, 2, k=3))
-        assert opt.solution == Solution.of(0, 1, 2)
+        assert opt.solution == Solution({0, 1, 2})
         assert opt.cost == 8
 
     def test_k_equals_n(self):
         inst = sum_inst(0, 2, 7, k=3)
         opt = fast_optimal_sum(inst)
-        assert opt.solution == Solution.of(0, 1, 2)
+        assert opt.solution == Solution({0, 1, 2})
         assert opt.cost == social_cost(inst, opt.solution)
 
     def test_max_variant_unsupported(self):

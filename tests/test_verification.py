@@ -3,8 +3,9 @@ exact approximation ratios, the worst-case search, and pinned regressions.
 
 The scanner's integer-rescaling fast path is checked against a naive
 reference implementation written here from the definitions (per-agent
-candidates, public cost API, no rescaling): both must flag the same first
-violation or both none.
+candidates built in exact rationals, public cost API, no rescaling): both
+must scan the same candidates and flag the same first violation or both
+none.
 """
 
 import ast
@@ -34,7 +35,6 @@ from flp import (
     Variant,
     apply,
     approx_ratio,
-    candidate_misreports,
     expected_agent_cost,
     expected_social_cost,
     generate,
@@ -42,7 +42,7 @@ from flp import (
     sp_scan,
     worst_ratio_search,
 )
-from flp.verification import _certify_violation, _check_ratio
+from flp.verification import _certify_violation, _check_ratio, _scaled_candidates
 
 
 def sum_inst(*locs, k=2):
@@ -53,43 +53,60 @@ def max_inst(*locs, k=2):
     return Instance(tuple(locs), k, Variant.MAX)
 
 
+def reference_candidates(inst, agent, grid_points):
+    """Misreport candidates for ``agent``, from the definition in exact
+    rationals: every other agent's report, the midpoints of consecutive
+    distinct reports, the two outer points one span beyond the extremes
+    (span 1 when all reports coincide), and a uniform grid of
+    ``grid_points`` values from the lower outer point to the upper one.
+    Returned sorted ascending."""
+    locs = [F(x) for x in inst.locations]
+    distinct = sorted(set(locs))
+    lo, hi = distinct[0], distinct[-1]
+    span = hi - lo or 1
+    outer_lo, outer_hi = lo - span, hi + span
+    cands = {x for i, x in enumerate(locs) if i != agent}
+    cands.update((a + b) / 2 for a, b in zip(distinct, distinct[1:]))
+    cands.update((outer_lo, outer_hi))
+    if grid_points >= 2:
+        step = (outer_hi - outer_lo) / (grid_points - 1)
+        cands.update(outer_lo + i * step for i in range(grid_points))
+    return tuple(sorted(cands))
+
+
 class TestCandidateMisreports:
     def test_structural_candidates_without_grid(self):
         # Others' coords {0, 1}, midpoints {1/2, 3/2}, outer {-2, 4}.
-        got = candidate_misreports(sum_inst(0, 1, 2), 2, grid_points=0)
+        got = reference_candidates(sum_inst(0, 1, 2), 2, grid_points=0)
         assert got == (-2, 0, F(1, 2), 1, F(3, 2), 4)
 
     def test_own_coordinate_not_required(self):
-        got = candidate_misreports(sum_inst(0, 1, 2), 2, grid_points=0)
+        got = reference_candidates(sum_inst(0, 1, 2), 2, grid_points=0)
         assert 2 not in got
 
     def test_coincident_pair_uses_unit_span(self):
-        got = candidate_misreports(sum_inst(5, 5), 0, grid_points=0)
+        got = reference_candidates(sum_inst(5, 5), 0, grid_points=0)
         assert got == (4, 5, 6)
 
     def test_grid_covers_outer_range(self):
-        got = candidate_misreports(sum_inst(0, 1, 3), 0)
+        got = reference_candidates(sum_inst(0, 1, 3), 0, grid_points=200)
         assert got[0] == -3 and got[-1] == 6
         assert len(got) == len(set(got))
         assert list(got) == sorted(got)
         assert len(got) >= 200
 
     def test_single_grid_point_is_left_edge(self):
-        with_one = candidate_misreports(sum_inst(0, 1, 2), 0, grid_points=1)
-        without = candidate_misreports(sum_inst(0, 1, 2), 0, grid_points=0)
+        with_one = reference_candidates(sum_inst(0, 1, 2), 0, grid_points=1)
+        without = reference_candidates(sum_inst(0, 1, 2), 0, grid_points=0)
         assert with_one == without  # outer_lo is already a candidate
 
     def test_negative_grid_rejected(self):
-        with pytest.raises(InputError):
-            candidate_misreports(sum_inst(0, 1), 0, grid_points=-1)
-
-    def test_agent_checked(self):
-        with pytest.raises(InputError):
-            candidate_misreports(sum_inst(0, 1), 9)
+        with pytest.raises(InputError, match="grid_points must be >= 0, got -1"):
+            sp_scan(MechanismId.MEDIAN_RIGHT, sum_inst(0, 1), grid_points=-1)
 
     def test_all_exact_rationals(self):
-        for x in candidate_misreports(sum_inst(0, F(1, 3), 2), 1):
-            assert isinstance(x, (int, F))
+        for x in reference_candidates(sum_inst(0, F(1, 3), 2), 1, grid_points=200):
+            assert isinstance(x, F)
 
 
 class TestSpScan:
@@ -176,19 +193,25 @@ def naive_first_violation(mech, inst, grid_points):
     for agent in range(inst.n):
         true_loc = inst.locations[agent]
         honest_cost = expected_agent_cost(inst, honest, agent, true_loc)
-        for x in candidate_misreports(inst, agent, grid_points):
+        for x in reference_candidates(inst, agent, grid_points):
             if x == true_loc:
                 continue
             dev = inst.with_location(agent, x)
-            try:
-                lot = apply(mech, dev)
-            except (MechanismPreconditionError, UnsupportedVariantError):
-                continue
             evaluated += 1
-            deviated_cost = expected_agent_cost(dev, lot, agent, true_loc)
+            deviated_cost = expected_agent_cost(dev, apply(mech, dev), agent, true_loc)
             if deviated_cost < honest_cost:
                 return (agent, x, honest_cost, deviated_cost), evaluated
     return None, evaluated
+
+
+def assert_scan_candidates_match_reference(inst, grid_points):
+    """For every agent, the scan tries its scaled candidates and every
+    report, skipping the agent's own: that is the reference set."""
+    scale, locs, cands = _scaled_candidates(inst, grid_points)
+    scanned = {F(c, scale) for c in cands.union(locs)}
+    for agent, own in enumerate(inst.locations):
+        want = set(reference_candidates(inst, agent, grid_points)) - {own}
+        assert scanned - {own} == want, (agent, grid_points)
 
 
 class TestScannerMatchesReference:
@@ -224,6 +247,8 @@ class TestScannerMatchesReference:
                 # Thirds give every family denominators > 1, so the scan's
                 # integer rescaling is genuinely exercised.
                 inst = Instance(tuple(F(x, 3) for x in inst.locations), k, variant)
+                for grid_points in (0, 1, 2, 40):
+                    assert_scan_candidates_match_reference(inst, grid_points)
                 scan = sp_scan(mech, inst, grid_points=40)
                 v = scan.violation
                 got = (
@@ -233,6 +258,57 @@ class TestScannerMatchesReference:
                 )
                 want, evaluated = naive_first_violation(mech, inst, grid_points=40)
                 assert (got, scan.evaluated, scan.skipped) == (want, evaluated, 0)
+
+
+def test_public_surface_is_pinned():
+    # A name added to or removed from flp.__all__ must show up here.
+    assert sorted(flp.__all__) == [
+        "Coord",
+        "Family",
+        "FlpError",
+        "GenSpec",
+        "InfeasibleError",
+        "InputError",
+        "Instance",
+        "InvariantError",
+        "Lottery",
+        "MechanismId",
+        "MechanismPreconditionError",
+        "OptResult",
+        "ParseError",
+        "REGRESSION_NAMES",
+        "RP_BOUND",
+        "RatioReport",
+        "RegressionResult",
+        "Solution",
+        "SpScan",
+        "SpViolation",
+        "UnsupportedVariantError",
+        "Variant",
+        "apply",
+        "approx_ratio",
+        "as_coord",
+        "brute_force_optimal",
+        "coord_str",
+        "declared_bound",
+        "dump_instance",
+        "expected_agent_cost",
+        "expected_social_cost",
+        "fast_optimal_sum",
+        "generate",
+        "instance_digest",
+        "instance_from_dict",
+        "instance_to_dict",
+        "is_strategyproof",
+        "load_instance",
+        "order_stats",
+        "perturb",
+        "run_regressions",
+        "social_cost",
+        "sp_scan",
+        "worst_ratio_search",
+    ]
+    assert all(hasattr(flp, name) for name in flp.__all__)
 
 
 def test_package_has_no_assert_statements():
@@ -273,7 +349,7 @@ def test_invariant_checks_survive_python_optimize():
 
         inst = Instance((0, 1, 3), 2, Variant.SUM)  # median-right costs 9
         def optimum(cost):
-            return lambda inst: OptResult(Solution.of(0, 1), cost)
+            return lambda inst: OptResult(Solution({0, 1}), cost)
         v.brute_force_optimal = optimum(0)
         zero_optimum = fires(lambda: v.approx_ratio(mech, inst))
         v.brute_force_optimal = optimum(10)
