@@ -7,6 +7,7 @@ exceeded, 6 regression failure.
 """
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -180,6 +181,20 @@ class TestSolve:
         )
         assert code == ExitCode.ERROR
         assert "cannot read" in err
+
+    def test_fast_solver_disagreement_exits_1(self, sum_triple, capsys, monkeypatch):
+        wrong = cli.fast_optimal_sum
+
+        def off_by_one(inst):
+            fast = wrong(inst)
+            return type(fast)(fast.solution, fast.cost + 1)
+
+        monkeypatch.setattr(cli, "fast_optimal_sum", off_by_one)
+        code, out, err = run_cli(["solve", "--instance", sum_triple], capsys)
+        assert code == ExitCode.ERROR and out == ""
+        assert err == (
+            "error: median-window solver cost 8 disagrees with optimal cost 7\n"
+        )
 
 
 class TestMech:
@@ -462,11 +477,57 @@ class TestRatioSweep:
 
     def test_bound_violation_exits_5(self, tmp_path, capsys, monkeypatch):
         # Pretend median-right declares a bound of 1; any tie-heavy draw
-        # then exceeds it and the sweep must fail loudly.
+        # then exceeds it and the sweep must fail loudly.  Seed indices 1
+        # and 16 both reach 3/2; the message names the first of them.
         monkeypatch.setattr(cli, "declared_bound", lambda *a: F(1))
         code, _, err = self.run_sweep(tmp_path, capsys)
         assert code == ExitCode.BOUND_EXCEEDED
-        assert "bound exceeded" in err
+        assert err == (
+            "bound exceeded: median-right reached ratio 3/2 (> declared 1) on "
+            "locations ['5', '9', '5']\n"
+        )
+
+    # sha256 of the whole CSV, seed 3: pins every byte of the rows and of
+    # the summary row.  median-left on even n declares no ceiling.
+    @pytest.mark.parametrize(
+        "mech,variant,n,k,trials,family,digest",
+        [
+            ("median-right", "sum", "3", "2", "20", "uniform-int",
+             "1cd6835bb47265745713b7cb40aa6431837dcb37f25d3547a5c686779603a8ae"),
+            ("two-medians", "max", "4", "2", "10", "uniform-grid",
+             "8a2a88c546211f2d19141c7389a57ea9593cd5d4427812f4643273d2970c286d"),
+            ("median-ball", "sum", "5", "3", "10", "clustered",
+             "407b0db792f5d76afc8367d48dc0f05e7d2b067eb5c0af10c73d2956408117e4"),
+            ("median-ball", "max", "6", "3", "10", "coincident",
+             "fabb8f58e55aa4bbfc4370fff4f149b05078819a86e36bf4bf00a05fcb86747e"),
+            ("median-left", "sum", "4", "2", "10", "uniform-int",
+             "05667f058555d32491782fb22dd27e64e56396b123141dab7d06e50b79beb313"),
+            ("uniform", "max", "5", "2", "0", "uniform-int",
+             "ede7f5291ea08bc0950b13fcf4d331c28400589e12aa0b15abfebe350ad5092e"),
+        ],
+    )
+    def test_sweep_bytes_are_pinned(
+        self, mech, variant, n, k, trials, family, digest, tmp_path, capsys
+    ):
+        args = [
+            "ratio-sweep", "--mech", mech, "--variant", variant, "--n", n,
+            "--k", k, "--trials", trials, "--family", family, "--seed", "3",
+        ]
+        code, out, err = run_cli(args, capsys)
+        assert code == ExitCode.OK and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        out_path = tmp_path / "sweep.csv"
+        code, printed, _ = run_cli([*args, "--out", str(out_path)], capsys)
+        assert code == ExitCode.OK and printed == ""
+        assert out_path.read_bytes() == out.encode()
+
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "missing" / "x.csv"
+        args = ["--mech", "median-right", "--variant", "sum", "--n", "3"]
+        code, out, err = run_cli(["ratio-sweep", *args, "--out", str(missing)], capsys)
+        assert code == ExitCode.ERROR and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert not missing.parent.exists()
 
     def test_max_variant_bound_checked(self, tmp_path, capsys):
         out_path = tmp_path / "max.csv"
@@ -646,6 +707,64 @@ class TestRegress:
         code, out, _ = run_cli(["regress"], capsys)
         assert code == ExitCode.REGRESSION_FAILED
         assert "FAIL synthetic" in out
+
+
+class TestRecordKeyOrder:
+    """JSON records are compared byte for byte, so their key order is
+    part of the format."""
+
+    HEAD = ["format", "version", "command"]
+    INSTANCE = ["instance_digest", "variant", "n", "k", "locations"]
+
+    def record(self, args, capsys):
+        code, out, _ = run_cli(args, capsys)
+        assert code in (ExitCode.OK, ExitCode.SP_VIOLATION)
+        return json.loads(out)
+
+    SOLVED = HEAD + INSTANCE + [
+        "optimal_agents", "optimal_coordinates", "optimal_cost", "optimal_cost_float"
+    ]
+
+    def test_solve_max(self, max_counterexample, capsys):
+        record = self.record(["solve", "--instance", max_counterexample], capsys)
+        assert list(record) == self.SOLVED
+
+    def test_solve_sum(self, sum_triple, capsys):
+        record = self.record(["solve", "--instance", sum_triple], capsys)
+        assert list(record) == self.SOLVED + [
+            "fast_solver_agrees", "fast_solver_coordinates"
+        ]
+
+    def test_mech(self, sum_triple, capsys):
+        record = self.record(
+            ["mech", "--mech", "median-right", "--instance", sum_triple], capsys
+        )
+        assert list(record) == self.HEAD + [
+            "mechanism", "strategyproof_by_design", *self.INSTANCE, "lottery",
+            "expected_social_cost", "expected_social_cost_float", "optimal_cost",
+            "optimal_cost_float", "ratio", "ratio_float",
+        ]
+
+    def test_verify_sp(self, capsys):
+        args = ["verify-sp", "--variant", "sum", "--n", "3", "--trials", "5"]
+        record = self.record([*args, "--mech", "opt-sum-baseline"], capsys)
+        assert list(record) == self.HEAD + [
+            "mechanism", "family", "variant", "n", "k", "seed", "grid_points",
+            "trials_requested", "instances_checked", "deviations_evaluated",
+            "deviations_skipped", "violation",
+        ]
+        assert list(record["violation"]) == ["seed_index", *self.INSTANCE] + [
+            "agent", "true_location", "misreport", "honest_cost",
+            "honest_cost_float", "deviated_cost", "deviated_cost_float",
+        ]
+
+    def test_search(self, capsys):
+        args = ["--variant", "sum", "--n", "3", "--trials", "3", "--rounds", "1"]
+        record = self.record(["search", "--mech", "median-right", *args], capsys)
+        assert list(record) == self.HEAD + ["mechanism", *self.INSTANCE] + [
+            "trials", "seed", "rounds", "mech_cost", "mech_cost_float",
+            "opt_cost", "opt_cost_float", "ratio", "ratio_float",
+        ]
 
 
 class TestUsageErrors:
