@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .mechanisms import MechanismId
+from .mechanisms import MechanismId, as_mechanism_id
 from .model import Variant
 
 RP_BOUND = Fraction(1_055_728_090_001, 10**12)
@@ -59,16 +59,16 @@ BOUND_TABLE: dict[tuple[MechanismId, Variant], tuple[_Ceiling, _Ceiling]] = {
 
 
 def declared_bound(
-    mech: MechanismId, variant: Variant, n: int, k: int
+    mech: MechanismId | str, variant: Variant, n: int, k: int
 ) -> Optional[Fraction]:
     """The guaranteed ratio ceiling for this configuration, or None if the
     mechanism makes no claim for this variant (or this parity of n)."""
-    row = BOUND_TABLE.get((mech, variant))
+    row = BOUND_TABLE.get((as_mechanism_id(mech), variant))
     ceiling = None if row is None else row[n % 2]
     return ceiling(n, k) if callable(ceiling) else ceiling
 
 
-def is_strategyproof(mech: MechanismId, variant: Variant | None = None) -> bool:
+def is_strategyproof(mech: MechanismId | str, variant: Variant | None = None) -> bool:
     """Whether ``mech`` is claimed strategyproof (in expectation) under
     ``variant``, or under some variant when ``variant`` is omitted.
 
@@ -76,6 +76,7 @@ def is_strategyproof(mech: MechanismId, variant: Variant | None = None) -> bool:
     the optimal-cost baseline, which is deliberately manipulable so that the
     manipulation search has a known-positive target.
     """
+    mech = as_mechanism_id(mech)
     if mech is MechanismId.OPT_SUM_BASELINE:
         return False
     if variant is None:

@@ -61,8 +61,16 @@ class ExitCode(enum.IntEnum):
     REGRESSION_FAILED = 6
 
 
-def _base_record(command: str) -> dict[str, Any]:
-    return {"format": RESULT_FORMAT, "version": RESULT_VERSION, "command": command}
+_EXIT_CODES = (
+    # The first row whose classes match an error gives its exit code;
+    # any other error exits ExitCode.ERROR.
+    ((InfeasibleError,), ExitCode.INFEASIBLE),
+    ((MechanismPreconditionError, UnsupportedVariantError), ExitCode.PRECONDITION),
+)
+
+
+def _record(command: str, **fields: Any) -> dict[str, Any]:
+    return dict(format=RESULT_FORMAT, version=RESULT_VERSION, command=command, **fields)
 
 
 def _emit(write: Callable[[Any, TextIO], None], payload: Any, out: str | None) -> None:
@@ -96,15 +104,7 @@ def _instance_header(inst: Instance) -> dict[str, Any]:
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     opt = brute_force_optimal(inst)
-    record = _base_record("solve")
-    record.update(_instance_header(inst))
-    record.update(
-        {
-            "optimal_agents": list(opt.solution.sorted_hosts()),
-            "optimal_coordinates": [coord_str(c) for c in opt.solution.coords(inst)],
-            **_duals(optimal_cost=opt.cost),
-        }
-    )
+    cross_check: dict[str, Any] = {}
     if inst.variant is Variant.SUM:
         fast = fast_optimal_sum(inst)
         if fast.cost != opt.cost:
@@ -112,10 +112,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 f"median-window solver cost {fast.cost} disagrees with "
                 f"optimal cost {opt.cost}"
             )
-        record["fast_solver_agrees"] = True
-        record["fast_solver_coordinates"] = [
-            coord_str(c) for c in fast.solution.coords(inst)
-        ]
+        fast_coords = [coord_str(c) for c in fast.solution.coords(inst)]
+        cross_check = dict(fast_solver_agrees=True, fast_solver_coordinates=fast_coords)
+    record = _record(
+        "solve",
+        **_instance_header(inst),
+        optimal_agents=list(opt.solution.sorted_hosts()),
+        optimal_coordinates=[coord_str(c) for c in opt.solution.coords(inst)],
+        **_duals(optimal_cost=opt.cost),
+        **cross_check,
+    )
     _emit(write_record, record, args.out)
     return ExitCode.OK
 
@@ -125,19 +131,17 @@ def cmd_mech(args: argparse.Namespace) -> int:
     mech = MechanismId(args.mech)
     lottery = apply(mech, inst)
     report = approx_ratio(mech, inst)
-    record = _base_record("mech")
-    record["mechanism"] = mech.value
-    record["strategyproof_by_design"] = is_strategyproof(mech, inst.variant)
-    record.update(_instance_header(inst))
-    record.update(
-        {
-            "lottery": lottery_to_list(inst, lottery),
-            **_duals(
-                expected_social_cost=report.mech_cost,
-                optimal_cost=report.opt_cost,
-                ratio=report.ratio,
-            ),
-        }
+    record = _record(
+        "mech",
+        mechanism=mech.value,
+        strategyproof_by_design=is_strategyproof(mech, inst.variant),
+        **_instance_header(inst),
+        lottery=lottery_to_list(inst, lottery),
+        **_duals(
+            expected_social_cost=report.mech_cost,
+            optimal_cost=report.opt_cost,
+            ratio=report.ratio,
+        ),
     )
     _emit(write_record, record, args.out)
     return ExitCode.OK
@@ -182,22 +186,20 @@ def cmd_verify_sp(args: argparse.Namespace) -> int:
                 **_duals(honest_cost=v.honest_cost, deviated_cost=v.deviated_cost),
             }
             break
-    record = _base_record("verify-sp")
-    record.update(
-        {
-            "mechanism": mech.value,
-            "family": spec.family.value,
-            "variant": spec.variant.value,
-            "n": args.n,
-            "k": args.k,
-            "seed": args.seed,
-            "grid_points": args.grid_points,
-            "trials_requested": args.trials,
-            "instances_checked": checked,
-            "deviations_evaluated": evaluated,
-            "deviations_skipped": skipped,
-            "violation": violation,
-        }
+    record = _record(
+        "verify-sp",
+        mechanism=mech.value,
+        family=spec.family.value,
+        variant=spec.variant.value,
+        n=args.n,
+        k=args.k,
+        seed=args.seed,
+        grid_points=args.grid_points,
+        trials_requested=args.trials,
+        instances_checked=checked,
+        deviations_evaluated=evaluated,
+        deviations_skipped=skipped,
+        violation=violation,
     )
     _emit(write_record, record, args.out)
     if violation is not None:
@@ -214,26 +216,10 @@ def cmd_verify_sp(args: argparse.Namespace) -> int:
 def cmd_ratio_sweep(args: argparse.Namespace) -> int:
     mech = MechanismId(args.mech)
     spec = _gen_spec(args, mech)
+    reports = [approx_ratio(mech, inst) for inst in generate(spec, args.trials)]
+    _emit(write_sweep_csv, reports, args.out)
     bound = declared_bound(mech, spec.variant, args.n, args.k)
-    rows: list[dict[str, Any]] = []
-    worst = None
-    for idx, inst in enumerate(generate(spec, args.trials)):
-        report = approx_ratio(mech, inst)
-        rows.append(
-            {
-                "seed_index": idx,
-                "n": inst.n,
-                "k": inst.k,
-                "variant": inst.variant.value,
-                "mech_cost": coord_str(report.mech_cost),
-                "opt_cost": coord_str(report.opt_cost),
-                "ratio": coord_str(report.ratio),
-                "ratio_float": float_15(report.ratio),
-            }
-        )
-        if worst is None or report.ratio > worst.ratio:
-            worst = report
-    _emit(write_sweep_csv, rows, args.out)
+    worst = max(reports, key=lambda r: r.ratio, default=None)  # first maximal
     if bound is not None and worst is not None and worst.ratio > bound:
         print(
             f"bound exceeded: {mech.value} reached ratio {worst.ratio} "
@@ -256,20 +242,18 @@ def cmd_search(args: argparse.Namespace) -> int:
         seed=args.seed,
         perturb_rounds=args.rounds,
     )
-    record = _base_record("search")
-    record["mechanism"] = mech.value
-    record.update(_instance_header(report.instance))
-    record.update(
-        {
-            "trials": args.trials,
-            "seed": args.seed,
-            "rounds": args.rounds,
-            **_duals(
-                mech_cost=report.mech_cost,
-                opt_cost=report.opt_cost,
-                ratio=report.ratio,
-            ),
-        }
+    record = _record(
+        "search",
+        mechanism=mech.value,
+        **_instance_header(report.instance),
+        trials=args.trials,
+        seed=args.seed,
+        rounds=args.rounds,
+        **_duals(
+            mech_cost=report.mech_cost,
+            opt_cost=report.opt_cost,
+            ratio=report.ratio,
+        ),
     )
     _emit(write_record, record, args.out)
     return ExitCode.OK
@@ -362,18 +346,12 @@ def main(argv: list[str] | None = None) -> int:
         return ExitCode.OK if exc.code == 0 else ExitCode.ERROR
     try:
         return int(args.func(args))
-    except InfeasibleError as exc:
+    except (FlpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return ExitCode.INFEASIBLE
-    except (MechanismPreconditionError, UnsupportedVariantError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ExitCode.PRECONDITION
-    except FlpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ExitCode.ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ExitCode.ERROR
+        return next(
+            (code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)),
+            ExitCode.ERROR,
+        )
 
 
 if __name__ == "__main__":

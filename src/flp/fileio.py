@@ -14,10 +14,13 @@ import hashlib
 import json
 import math
 from fractions import Fraction
-from typing import Any, Iterable, TextIO
+from typing import TYPE_CHECKING, Any, Sequence, TextIO
 
 from .errors import ParseError
 from .model import Coord, Instance, Lottery, Variant, as_coord, coord_str
+
+if TYPE_CHECKING:
+    from .verification import RatioReport
 
 INSTANCE_FORMAT = "flp-instance"
 INSTANCE_VERSION = 1
@@ -148,21 +151,19 @@ def write_record(record: dict[str, Any], out: TextIO) -> None:
     out.write("\n")
 
 
-def write_sweep_csv(rows: Iterable[dict[str, Any]], out: TextIO) -> None:
-    """Write ratio-sweep rows plus a final max-ratio summary row.
+def write_sweep_csv(reports: Sequence[RatioReport], out: TextIO) -> None:
+    """Write one ratio-sweep row per report plus a final max-ratio summary row.
 
-    Rows must already be ordered by seed_index.  The summary row repeats the
+    Report i is the row with seed_index i.  The summary row repeats the
     maximum ratio in the ratio columns and labels seed_index as "max".
     """
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
-    max_ratio: Fraction | None = None
-    for row in rows:
-        writer.writerow([str(row[col]) for col in SWEEP_COLUMNS])
-        ratio = Fraction(row["ratio"])
-        if max_ratio is None or ratio > max_ratio:
-            max_ratio = ratio
-    if max_ratio is not None:
-        writer.writerow(
-            ["max", "", "", "", "", "", coord_str(max_ratio), float_15(max_ratio)]
-        )
+    for idx, r in enumerate(reports):
+        inst = r.instance
+        exact = (coord_str(r.mech_cost), coord_str(r.opt_cost), coord_str(r.ratio))
+        row = (idx, inst.n, inst.k, inst.variant.value, *exact, float_15(r.ratio))
+        writer.writerow([str(value) for value in row])
+    if reports:
+        top = max(r.ratio for r in reports)
+        writer.writerow(["max", "", "", "", "", "", coord_str(top), float_15(top)])

@@ -55,6 +55,8 @@ class GenSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.family, Family):
             raise InputError(f"family must be a Family, got {self.family!r}")
+        if not isinstance(self.variant, Variant):
+            raise InputError(f"variant must be a Variant, got {self.variant!r}")
         object.__setattr__(self, "lo", as_coord(self.lo))
         object.__setattr__(self, "hi", as_coord(self.hi))
         if self.lo > self.hi:

@@ -101,6 +101,18 @@ _MECHANISMS: dict[
 }
 
 
+def as_mechanism_id(mech: MechanismId | str) -> MechanismId:
+    """``mech`` itself, or the id whose CLI spelling it is; InputError
+    naming the known ids otherwise."""
+    if isinstance(mech, MechanismId):
+        return mech
+    try:
+        return MechanismId(mech)
+    except ValueError:
+        known = ", ".join(m.value for m in MechanismId)
+        raise InputError(f"unknown mechanism {mech!r} (known: {known})") from None
+
+
 def position_rule(mech: MechanismId | str, n: int, k: int, variant: Variant) -> Rule:
     """The rule behind ``mech`` (the id or its CLI spelling) for n agents,
     k facilities and ``variant``.  The returned rule is only valid for
@@ -112,12 +124,7 @@ def position_rule(mech: MechanismId | str, n: int, k: int, variant: Variant) -> 
     smallest n (MechanismPreconditionError).  An order-only mechanism's
     outcomes are fixed here, once per shape.
     """
-    if not isinstance(mech, MechanismId):
-        try:
-            mech = MechanismId(mech)
-        except ValueError:
-            known = ", ".join(m.value for m in MechanismId)
-            raise InputError(f"unknown mechanism {mech!r} (known: {known})") from None
+    mech = as_mechanism_id(mech)
     rule, needs_k2, parity, min_n, sum_only = _MECHANISMS[mech]
     if sum_only:
         require_sum_variant(variant, mech.value)

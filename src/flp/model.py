@@ -42,7 +42,12 @@ def as_coord(value: object) -> Coord:
         try:
             value = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"cannot parse {value!r} as a rational number") from exc
+            shown = repr(value[:40])  # quote no more than 40 characters
+            if len(value) > 40:
+                shown += f"... ({len(value):,} characters)"
+            if "set_int_max_str_digits" in str(exc):  # Python's int/str limit
+                raise ParseError(f"cannot parse {shown}: {exc}") from None
+            raise ParseError(f"cannot parse {shown} as a rational number") from exc
     elif isinstance(value, float):
         raise InputError(
             f"refusing float {value!r}: pass an int, Fraction, or string so the "

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .bounds import RP_BOUND
 from .errors import InputError, InvariantError
 from .generators import Family, GenSpec, generate, perturb
-from .mechanisms import MechanismId, Outcomes, apply, position_rule
+from .mechanisms import MechanismId, Outcomes, apply, as_mechanism_id, position_rule
 from .model import (
     Coord,
     Instance,
@@ -218,7 +218,7 @@ def approx_ratio(mech: MechanismId | str, inst: Instance) -> RatioReport:
         raise InvariantError(
             f"mechanism cost {mech_cost} below the optimum {opt.cost}"
         )
-    return RatioReport(MechanismId(mech), inst, mech_cost, opt.cost, ratio)
+    return RatioReport(as_mechanism_id(mech), inst, mech_cost, opt.cost, ratio)
 
 
 _CLIMB_STARTS = 5  # how many of the best samples worst_ratio_search climbs from
@@ -240,14 +240,14 @@ def worst_ratio_search(
     Deterministic for fixed arguments.  Returns the best report seen; a lower
     bound witness, never an upper-bound claim.
     """
+    spec = GenSpec(
+        Family.UNIFORM_INT, n=n, k=k, variant=variant, seed=seed, lo=0, hi=max(8, 2 * n)
+    )
+    position_rule(mech, n, k, variant)  # refuse the shape before the counts
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     if perturb_rounds < 0:
         raise InputError(f"perturb_rounds must be >= 0, got {perturb_rounds}")
-    spec = GenSpec(
-        Family.UNIFORM_INT, n=n, k=k, variant=variant, seed=seed, lo=0, hi=max(8, 2 * n)
-    )
-    position_rule(mech, n, k, variant)  # refuse the shape before sampling
     reports = [approx_ratio(mech, inst) for inst in generate(spec, trials)]
     reports.sort(key=lambda r: r.ratio, reverse=True)
     best = reports[0]

@@ -7,7 +7,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from flp import MechanismId, RP_BOUND, Variant, declared_bound
+from flp import (
+    InputError,
+    MechanismId,
+    RP_BOUND,
+    Variant,
+    declared_bound,
+    is_strategyproof,
+)
 
 
 class TestDeclaredValues:
@@ -106,6 +113,24 @@ def test_declared_bound_matches_readme_column(mech, variant):
             want = ceiling(n, k)
             got = declared_bound(mech, variant, n, k)
             assert got == want and (want is None or isinstance(got, F)), (n, k)
+
+
+@pytest.mark.parametrize("mech", list(MechanismId), ids=lambda m: m.value)
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_cli_spelling_reads_the_same_row(mech, variant):
+    for n in range(2, 13):
+        for k in range(2, min(n, 5) + 1):
+            got = declared_bound(mech.value, variant, n, k)
+            assert got == declared_bound(mech, variant, n, k), (n, k)
+    assert is_strategyproof(mech.value, variant) == is_strategyproof(mech, variant)
+    assert is_strategyproof(mech.value) == is_strategyproof(mech)
+
+
+def test_unknown_spelling_raises_input_error():
+    with pytest.raises(InputError, match="unknown mechanism 'nope'.*two-medians"):
+        declared_bound("nope", Variant.SUM, 3, 2)
+    with pytest.raises(InputError, match="unknown mechanism"):
+        is_strategyproof("nope", Variant.SUM)
 
 
 class TestRpBoundConstant:

@@ -69,6 +69,8 @@ _D = 10**3000
         (("0", "1e400", "2e400"), (0, 10**400, 2 * 10**400), 5 * 10**400, None),
         # A value past Python's default 4,300-digit int/str conversion limit.
         (("0", "1e5000", "3"), (0, 10**5000, 3), 2 * 10**5000 + 3, None),
+        # The same value written out: a literal past the limit.
+        (("0", "1" + "0" * 5000, "3"), (0, 10**5000, 3), 2 * 10**5000 + 3, None),
         # Every literal is short enough to parse, but the costs'
         # denominators have 6,001 digits; their doubles underflow to 0.
         (
@@ -78,7 +80,7 @@ _D = 10**3000
             0.0,
         ),
     ],
-    ids=["1e400", "1e5000", "3000-digit-denominators"],
+    ids=["1e400", "1e5000", "5001-digit-literal", "3000-digit-denominators"],
 )
 def huge_triple(tmp_path, request):
     """(instance path, location values, optimal sum cost, the double of
@@ -632,8 +634,8 @@ class TestShapeRefusedBeforeGenerating:
         monkeypatch.setattr(cli, "generate", refuse)
         monkeypatch.setattr(verification, "generate", refuse)
 
-    # With 0 trials, verify-sp and ratio-sweep exit 3 too: the mechanism
-    # cannot run on this shape at all.
+    # With 0 trials every command exits 3 too: the mechanism cannot run on
+    # this shape at all.
     @pytest.mark.parametrize(
         "command,trials",
         [
@@ -641,6 +643,7 @@ class TestShapeRefusedBeforeGenerating:
             ("verify-sp", "100000"),
             ("ratio-sweep", "0"),
             ("ratio-sweep", "100000"),
+            ("search", "0"),
             ("search", "100000"),
         ],
     )
@@ -676,6 +679,19 @@ class TestShapeRefusedBeforeGenerating:
         args = ["--mech", "two-medians", "--variant", "sum", "--n", n, "--k", k]
         code, _, err = run_cli([command, *args], capsys)
         assert code == ExitCode.INFEASIBLE and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "flags,want",
+        [
+            (["--n", "3", "--k", "5"], ExitCode.INFEASIBLE),
+            (["--n", "4"], ExitCode.ERROR),
+        ],
+    )
+    @pytest.mark.parametrize("counts", [["--trials", "0"], ["--rounds", "-1"]])
+    def test_search_checks_shape_before_counts(self, flags, want, counts, capsys):
+        args = ["search", "--mech", "two-medians", "--variant", "sum", *flags]
+        code, out, _ = run_cli([*args, *counts], capsys)
+        assert code == want and out == ""
 
 
 class TestRegress:

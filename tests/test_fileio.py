@@ -16,9 +16,12 @@ from flp import (
     InputError,
     Instance,
     Lottery,
+    MechanismId,
     ParseError,
     Solution,
     Variant,
+    approx_ratio,
+    as_coord,
     coord_str,
     dump_instance,
     instance_digest,
@@ -156,6 +159,33 @@ class TestDigitLimit:
             dump_instance(self.HUGE, str(path))
         assert not path.exists()
 
+    def test_long_literal_names_the_limit_not_the_digits(self, tmp_path):
+        literal = "1" + "0" * 4301
+        with pytest.raises(ParseError) as info:
+            as_coord(literal)
+        message = str(info.value)
+        shown = f"{literal[:40]!r}... (4,302 characters)"
+        assert message.startswith(f"cannot parse {shown}: ")
+        assert "4300" in message and "sys.set_int_max_str_digits" in message
+        assert len(message) < 250
+        path = tmp_path / "long.json"
+        doc = {"format": "flp-instance", "version": 1, "variant": "sum", "k": 2}
+        path.write_text(json.dumps({**doc, "locations": ["0", literal, "3"]}))
+        with pytest.raises(ParseError) as info:
+            load_instance(str(path))
+        assert str(info.value) == f"{path}: locations[1]: {message}"
+
+    @pytest.mark.parametrize(
+        "literal", ["x" * 41, "1/" + "2" * 5000], ids=["41-chars", "5002-chars"]
+    )
+    def test_long_malformed_literal_is_not_echoed(self, literal):
+        with pytest.raises(ParseError) as info:
+            as_coord(literal + "/0")
+        assert str(info.value) == (
+            f"cannot parse {literal[:40]!r}... ({len(literal) + 2:,} characters) "
+            "as a rational number"
+        )
+
     def test_lifted_limit_round_trips(self, tmp_path):
         sys.set_int_max_str_digits(0)
         path = str(tmp_path / "huge.json")
@@ -206,26 +236,8 @@ class TestRecordsAndSweeps:
 
     def rows(self):
         return [
-            {
-                "seed_index": 0,
-                "n": 3,
-                "k": 2,
-                "variant": "sum",
-                "mech_cost": "3",
-                "opt_cost": "2",
-                "ratio": "3/2",
-                "ratio_float": 1.5,
-            },
-            {
-                "seed_index": 1,
-                "n": 3,
-                "k": 2,
-                "variant": "sum",
-                "mech_cost": "5",
-                "opt_cost": "5",
-                "ratio": "1",
-                "ratio_float": 1.0,
-            },
+            approx_ratio(MechanismId.MEDIAN_RIGHT, Instance(locs, 2, Variant.SUM))
+            for locs in ((0, 0, 1), (0, 1, 2))  # ratios 3/2 and 1
         ]
 
     def test_sweep_round_trip(self):

@@ -122,6 +122,10 @@ class TestGenSpecValidation:
         with pytest.raises(InputError):
             spec("uniform-int")
 
+    def test_variant_must_be_enum(self):
+        with pytest.raises(InputError, match="variant must be a Variant, got 'sum'"):
+            spec(Family.UNIFORM_INT, variant="sum")
+
     def test_bounds_parse_strings(self):
         s = spec(Family.UNIFORM_GRID, lo="-1/2", hi="3/2", denominator=4)
         for inst in generate(s, 10):

@@ -23,6 +23,7 @@ import flp
 from flp import (
     Family,
     GenSpec,
+    InfeasibleError,
     InputError,
     InvariantError,
     Instance,
@@ -455,6 +456,24 @@ class TestWorstRatioSearch:
             worst_ratio_search(
                 MechanismId.MEDIAN_RIGHT, Variant.SUM, n=3, k=2, trials=0
             )
+
+    # The shape is refused before the counts are read, as in the CLI.
+    @pytest.mark.parametrize(
+        "mech,variant,n,k,error",
+        [
+            (MechanismId.MEDIAN_RIGHT, Variant.SUM, 3, 5, InfeasibleError),
+            (MechanismId.TWO_MEDIANS, Variant.SUM, 3, 2, MechanismPreconditionError),
+            (MechanismId.OPT_SUM_BASELINE, Variant.MAX, 3, 2, UnsupportedVariantError),
+            (MechanismId.OPT_SUM_BASELINE, "sum", 3, 2, InputError),
+        ],
+    )
+    @pytest.mark.parametrize("trials,rounds", [(0, 10), (1, -1)])
+    def test_shape_checked_before_counts(
+        self, mech, variant, n, k, error, trials, rounds
+    ):
+        with pytest.raises(error) as info:
+            worst_ratio_search(mech, variant, n, k, trials, perturb_rounds=rounds)
+        assert "trials" not in str(info.value) and "rounds" not in str(info.value)
 
     def test_returns_ratio_report(self):
         report = worst_ratio_search(
