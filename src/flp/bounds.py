@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .mechanisms import MechanismId, as_mechanism_id
-from .model import Variant
+from .model import Variant, require
 
 RP_BOUND = Fraction(1_055_728_090_001, 10**12)
 """Rational over-approximation (12 correct digits) of the tight
@@ -63,7 +63,8 @@ def declared_bound(
 ) -> Optional[Fraction]:
     """The guaranteed ratio ceiling for this configuration, or None if the
     mechanism makes no claim for this variant (or this parity of n)."""
-    row = BOUND_TABLE.get((as_mechanism_id(mech), variant))
+    key = (as_mechanism_id(mech), require(variant, Variant, "variant"))
+    row = BOUND_TABLE.get(key)
     ceiling = None if row is None else row[n % 2]
     return ceiling(n, k) if callable(ceiling) else ceiling
 
@@ -77,8 +78,8 @@ def is_strategyproof(mech: MechanismId | str, variant: Variant | None = None) ->
     manipulation search has a known-positive target.
     """
     mech = as_mechanism_id(mech)
-    if mech is MechanismId.OPT_SUM_BASELINE:
-        return False
     if variant is None:
-        return any(m is mech for m, _ in BOUND_TABLE)
-    return (mech, variant) in BOUND_TABLE
+        claimed = any(m is mech for m, _ in BOUND_TABLE)
+    else:
+        claimed = (mech, require(variant, Variant, "variant")) in BOUND_TABLE
+    return claimed and mech is not MechanismId.OPT_SUM_BASELINE

@@ -40,15 +40,9 @@ from .fileio import (
 )
 from .generators import Family, GenSpec, generate
 from .mechanisms import MechanismId, apply, position_rule
-from .model import Coord, Instance, Variant, coord_str
+from .model import Coord, Instance, Variant, coord_str, require
 from .solver import brute_force_optimal, fast_optimal_sum
-from .verification import (
-    approx_ratio,
-    check_grid_points,
-    run_regressions,
-    sp_scan,
-    worst_ratio_search,
-)
+from .verification import approx_ratio, run_regressions, sp_scan, worst_ratio_search
 
 
 class ExitCode(enum.IntEnum):
@@ -164,28 +158,22 @@ def _gen_spec(args: argparse.Namespace, mech: MechanismId) -> GenSpec:
 def cmd_verify_sp(args: argparse.Namespace) -> int:
     mech = MechanismId(args.mech)
     spec = _gen_spec(args, mech)
-    check_grid_points(args.grid_points)
+    require(args.grid_points, int, "grid_points", 0)
     instances = generate(spec, args.trials)
-    checked = 0
-    evaluated = 0
-    skipped = 0
-    violation: dict[str, Any] | None = None
-    for idx, inst in enumerate(instances):
-        scan = sp_scan(mech, inst, args.grid_points)
-        checked += 1
-        evaluated += scan.evaluated
-        skipped += scan.skipped
-        if scan.violation is not None:
-            v = scan.violation
-            violation = {
-                "seed_index": idx,
-                **_instance_header(inst),
-                "agent": v.agent,
-                "true_location": coord_str(v.true_location),
-                "misreport": coord_str(v.misreport),
-                **_duals(honest_cost=v.honest_cost, deviated_cost=v.deviated_cost),
-            }
+    scans = []
+    for inst in instances:  # stop at the first violation
+        scans.append(sp_scan(mech, inst, args.grid_points))
+        if scans[-1].violation is not None:
             break
+    v = scans[-1].violation if scans else None
+    violation = None if v is None else {
+        "seed_index": len(scans) - 1,
+        **_instance_header(instances[len(scans) - 1]),
+        "agent": v.agent,
+        "true_location": coord_str(v.true_location),
+        "misreport": coord_str(v.misreport),
+        **_duals(honest_cost=v.honest_cost, deviated_cost=v.deviated_cost),
+    }
     record = _record(
         "verify-sp",
         mechanism=mech.value,
@@ -196,9 +184,9 @@ def cmd_verify_sp(args: argparse.Namespace) -> int:
         seed=args.seed,
         grid_points=args.grid_points,
         trials_requested=args.trials,
-        instances_checked=checked,
-        deviations_evaluated=evaluated,
-        deviations_skipped=skipped,
+        instances_checked=len(scans),
+        deviations_evaluated=sum(scan.evaluated for scan in scans),
+        deviations_skipped=sum(scan.skipped for scan in scans),
         violation=violation,
     )
     _emit(write_record, record, args.out)
@@ -345,6 +333,10 @@ def main(argv: list[str] | None = None) -> int:
         # for infeasibility and fold usage problems into the generic error code.
         return ExitCode.OK if exc.code == 0 else ExitCode.ERROR
     try:
+        if getattr(args, "out", None) is not None:
+            # Fail on an unwritable path before any work; appending never
+            # truncates, and the result is written only once it is complete.
+            open(args.out, "a", encoding="utf-8").close()
         return int(args.func(args))
     except (FlpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleError, InputError
-from .model import Coord, Instance, Variant, as_coord
+from .model import Coord, Instance, Variant, as_coord, require
 
 
 _CLUSTERS = 2
@@ -53,16 +53,16 @@ class GenSpec:
     denominator: int = 100
 
     def __post_init__(self) -> None:
-        if not isinstance(self.family, Family):
-            raise InputError(f"family must be a Family, got {self.family!r}")
-        if not isinstance(self.variant, Variant):
-            raise InputError(f"variant must be a Variant, got {self.variant!r}")
+        require(self.family, Family, "family")
+        require(self.variant, Variant, "variant")
+        require(self.n, int, "n")
+        require(self.k, int, "k")
+        require(self.seed, int, "seed")
         object.__setattr__(self, "lo", as_coord(self.lo))
         object.__setattr__(self, "hi", as_coord(self.hi))
         if self.lo > self.hi:
             raise InputError(f"invalid range: lo={self.lo} > hi={self.hi}")
-        if self.denominator < 1:
-            raise InputError(f"denominator must be >= 1, got {self.denominator}")
+        require(self.denominator, int, "denominator", 1)
         if self.n < 2:
             raise InfeasibleError(f"need at least 2 agents, got n={self.n}")
         if not 2 <= self.k <= self.n:
@@ -127,8 +127,7 @@ def _draw_locations(spec: GenSpec, rng: random.Random) -> list[Coord]:
 
 def generate(spec: GenSpec, count: int) -> list[Instance]:
     """Generate ``count`` instances for ``spec``, deterministically."""
-    if count < 0:
-        raise InputError(f"count must be >= 0, got {count}")
+    require(count, int, "count", 0)
     out = []
     for index in range(count):
         rng = random.Random(_derive_seed(spec.seed, spec.family.value, index))

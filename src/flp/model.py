@@ -15,9 +15,11 @@ import enum
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, TypeVar, Union
 
 from .errors import InfeasibleError, InputError, InvariantError, ParseError
+
+_T = TypeVar("_T")
 
 Coord = Union[int, Fraction]
 """An exact rational number.  ``int`` is kept as-is for speed; a ``Fraction``
@@ -79,6 +81,18 @@ def _require_coord(value: object, what: str) -> Coord:
     return value
 
 
+def require(value: _T, kind: type, what: str, least: int | None = None) -> _T:
+    """``value`` itself, once it is a ``kind`` (a bool is no int) and, when
+    ``least`` is given, at least ``least``; InputError naming ``what``
+    otherwise."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "aeiou" else "a"
+        raise InputError(f"{what} must be {article} {kind.__name__}, got {value!r}")
+    if least is not None and value < least:
+        raise InputError(f"{what} must be >= {least}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class Instance:
     """A profile of reported locations plus the number of facilities to open.
@@ -98,14 +112,12 @@ class Instance:
         n = len(clean)
         if n < 2:
             raise InfeasibleError(f"need at least 2 agents, got {n}")
-        if isinstance(self.k, bool) or not isinstance(self.k, int):
-            raise InputError(f"k must be an int, got {self.k!r}")
+        require(self.k, int, "k")
         if self.k < 2:
             raise InfeasibleError(f"need at least 2 facilities, got k={self.k}")
         if self.k > n:
             raise InfeasibleError(f"infeasible: k exceeds n (k={self.k}, n={n})")
-        if not isinstance(self.variant, Variant):
-            raise InputError(f"variant must be a Variant, got {self.variant!r}")
+        require(self.variant, Variant, "variant")
 
     @property
     def n(self) -> int:
@@ -119,8 +131,7 @@ class Instance:
         return Instance(tuple(locs), self.k, self.variant)
 
     def check_agent(self, agent: int) -> None:
-        if isinstance(agent, bool) or not isinstance(agent, int):
-            raise InputError(f"agent index must be an int, got {agent!r}")
+        require(agent, int, "agent index")
         if not 0 <= agent < len(self.locations):
             raise InputError(
                 f"agent index {agent} out of range for n={len(self.locations)}"

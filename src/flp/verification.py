@@ -26,6 +26,7 @@ from .model import (
     expected_agent_cost,
     expected_social_cost,
     point_cost,
+    require,
 )
 from .solver import brute_force_optimal
 
@@ -91,19 +92,13 @@ def _div_exact(num: int, den: int) -> int:
     return quotient
 
 
-def check_grid_points(grid_points: int) -> None:
-    """Raise InputError unless ``grid_points`` is a usable grid size."""
-    if grid_points < 0:
-        raise InputError(f"grid_points must be >= 0, got {grid_points}")
-
-
 def _scaled_candidates(
     inst: Instance, grid_points: int
 ) -> tuple[int, tuple[int, ...], set[int]]:
     """The scan scale D, the locations times D, and the agent-independent
     candidates times D: midpoints of consecutive distinct sorted coordinates,
     the two outer points, and the uniform grid."""
-    check_grid_points(grid_points)
+    require(grid_points, int, "grid_points", 0)
     scale = _scan_scale(inst, grid_points)
     locs = tuple(_div_exact(x.numerator * scale, x.denominator) for x in inst.locations)
     distinct = sorted(set(locs))
@@ -244,10 +239,8 @@ def worst_ratio_search(
         Family.UNIFORM_INT, n=n, k=k, variant=variant, seed=seed, lo=0, hi=max(8, 2 * n)
     )
     position_rule(mech, n, k, variant)  # refuse the shape before the counts
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
-    if perturb_rounds < 0:
-        raise InputError(f"perturb_rounds must be >= 0, got {perturb_rounds}")
+    require(trials, int, "trials", 1)
+    require(perturb_rounds, int, "perturb_rounds", 0)
     reports = [approx_ratio(mech, inst) for inst in generate(spec, trials)]
     reports.sort(key=lambda r: r.ratio, reverse=True)
     best = reports[0]

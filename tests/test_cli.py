@@ -694,6 +694,125 @@ class TestShapeRefusedBeforeGenerating:
         assert code == want and out == ""
 
 
+class TestOutCheckedFirst:
+    """An unwritable --out fails before any instance is read or generated."""
+
+    GEN = ["--mech", "median-right", "--variant", "sum", "--n", "3"]
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        monkeypatch.setattr(cli, "generate", refuse)
+        monkeypatch.setattr(verification, "generate", refuse)
+        monkeypatch.setattr(cli, "load_instance", refuse)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["solve", "--instance", "inst.json"],
+            ["mech", "--mech", "median-right", "--instance", "inst.json"],
+            ["verify-sp", *GEN],
+            ["ratio-sweep", *GEN],
+            ["search", *GEN],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_missing_directory_exits_1(self, command, tmp_path, capsys):
+        missing = tmp_path / "missing" / "out"
+        code, out, err = run_cli([*command, "--out", str(missing)], capsys)
+        assert code == ExitCode.ERROR and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert not missing.parent.exists()
+
+
+class TestOutFile:
+    def test_failed_run_keeps_an_existing_file(self, tmp_path, capsys):
+        out_path = tmp_path / "kept.json"
+        out_path.write_text("earlier result\n")
+        args = ["solve", "--instance", str(tmp_path / "nope.json")]
+        code, _, _ = run_cli([*args, "--out", str(out_path)], capsys)
+        assert code == ExitCode.ERROR
+        assert out_path.read_text() == "earlier result\n"
+
+    def test_failed_run_leaves_an_empty_new_file(self, tmp_path, capsys):
+        out_path = tmp_path / "new.json"
+        args = ["solve", "--instance", str(tmp_path / "nope.json")]
+        code, _, _ = run_cli([*args, "--out", str(out_path)], capsys)
+        assert code == ExitCode.ERROR
+        assert out_path.read_text() == ""
+
+    def test_out_may_be_the_instance(self, sum_triple, capsys):
+        args = ["solve", "--instance", sum_triple, "--out", sum_triple]
+        code, out, _ = run_cli(args, capsys)
+        assert code == ExitCode.OK and out == ""
+        with open(sum_triple, encoding="utf-8") as fp:
+            assert json.load(fp)["optimal_cost"] == "7"
+
+
+class TestReadmeExamples:
+    """The values README.md's CLI section shows; demo.json is (0, 1, 3)
+    under sum with k=2.  Its reverse-proportional max call is pinned in
+    TestVerifySp."""
+
+    def test_solve(self, sum_triple, capsys):
+        code, out, _ = run_cli(["solve", "--instance", sum_triple], capsys)
+        assert code == ExitCode.OK
+        assert json.loads(out) == {
+            "format": "flp-result",
+            "version": 1,
+            "command": "solve",
+            "instance_digest": "1521cf30a8b6",
+            "variant": "sum",
+            "n": 3,
+            "k": 2,
+            "locations": ["0", "1", "3"],
+            "optimal_agents": [0, 1],
+            "optimal_coordinates": ["0", "1"],
+            "optimal_cost": "7",
+            "optimal_cost_float": 7.0,
+            "fast_solver_agrees": True,
+            "fast_solver_coordinates": ["0", "1"],
+        }
+
+    def test_mech(self, sum_triple, capsys):
+        args = ["mech", "--mech", "reverse-proportional", "--instance", sum_triple]
+        code, out, _ = run_cli(args, capsys)
+        assert code == ExitCode.OK
+        record = json.loads(out)
+        assert [(e["coordinates"], e["probability"]) for e in record["lottery"]] == [
+            (["0", "1"], "2/3"),
+            (["1", "3"], "1/3"),
+        ]
+        assert (record["expected_social_cost"], record["optimal_cost"]) == ("22/3", "7")
+        assert record["ratio"] == "22/21"
+
+    def test_verify_sp_baseline(self, capsys):
+        args = ["--mech", "opt-sum-baseline", "--variant", "sum", "--n", "3"]
+        args += ["--trials", "40", "--seed", "1"]
+        code, out, _ = run_cli(["verify-sp", *args], capsys)
+        assert code == ExitCode.SP_VIOLATION
+        v = json.loads(out)["violation"]
+        assert (v["seed_index"], v["locations"]) == (0, ["1", "3", "9"])
+        assert (v["agent"], v["true_location"], v["misreport"]) == (2, "9", "407/199")
+        assert (v["honest_cost"], v["deviated_cost"]) == ("14", "2578/199")
+
+    def test_regress(self, capsys):
+        code, out, _ = run_cli(["regress"], capsys)
+        assert code == ExitCode.OK
+        lines = out.splitlines()
+        # The lines the README prints in full.
+        for line in [
+            "PASS sum-det-3/2: median-right k=2 sum ratio on (0, 0, 1): 3/2 (want 3/2)",
+            "PASS max-det-3: median-right k=2 max ratio on (0, 0, 1): 3 (want 3)",
+            "PASS max-rand-2: uniform k=2 max ratio on (0, 0, 1): 2 (want 2)",
+            "PASS max-k-lower: median-ball k=3 max ratio on (0, 1, 1, 1): 4 (want 4)",
+            "7/7 regression fixtures passed",
+        ]:
+            assert line in lines
+
+
 class TestRegress:
     def test_all_fixtures_pass(self, capsys):
         code, out, _ = run_cli(["regress"], capsys)
@@ -792,6 +911,13 @@ class TestUsageErrors:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == ExitCode.OK
+
+    @pytest.mark.parametrize(
+        "command", ["solve", "mech", "verify-sp", "ratio-sweep", "search", "regress"]
+    )
+    def test_subcommand_help_exits_0(self, command, capsys):
+        assert main([command, "--help"]) == ExitCode.OK
+        assert capsys.readouterr().out.startswith(f"usage: flp {command}")
 
 
 class TestConsoleScript:
