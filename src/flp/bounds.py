@@ -64,6 +64,8 @@ def declared_bound(
     """The guaranteed ratio ceiling for this configuration, or None if the
     mechanism makes no claim for this variant (or this parity of n)."""
     key = (as_mechanism_id(mech), require(variant, Variant, "variant"))
+    require(n, int, "n")
+    require(k, int, "k")
     row = BOUND_TABLE.get(key)
     ceiling = None if row is None else row[n % 2]
     return ceiling(n, k) if callable(ceiling) else ceiling

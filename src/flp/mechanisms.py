@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Union
 
 from .errors import InputError, MechanismPreconditionError
-from .model import Coord, Instance, Lottery, Solution, Variant, order_stats
+from .model import Coord, Instance, Lottery, Solution, Variant, order_stats, require
 from .solver import optimal_sum_window, require_sum_variant
 
 
@@ -71,32 +71,28 @@ def _reverse_proportional(xs: Sequence[Coord], k: int) -> RuleOutput:
     return gap_l + gap_r, (((m - 1, m), gap_r), ((m, m + 1), gap_l))
 
 
-def _auto_sum(xs: Sequence[Coord], k: int) -> RuleOutput:
-    """Parity dispatch: two-medians on even n (cost-optimal for the sum
-    variant), reverse-proportional on odd n."""
-    if len(xs) % 2 == 0:
-        return _windows(len(xs), k, (0,))
-    return _reverse_proportional(xs, k)
-
-
 def _opt_sum_baseline(xs: Sequence[Coord], k: int) -> RuleOutput:
     """Point mass on the exact sum-variant optimum.  Cost-perfect but
     manipulable; kept as the refuter's negative control."""
     return 1, ((optimal_sum_window(xs, k), 1),)
 
 
+_Row = Union[Rule, tuple[int, ...]]
+
 _MECHANISMS: dict[
-    MechanismId, tuple[Rule | tuple[int, ...], bool, int | None, int, bool]
+    MechanismId, tuple[_Row | dict[int, _Row], bool, int | None, int, bool]
 ] = {
-    # id: (rule, or an order-only mechanism's window offsets, needs k=2,
-    # required n % 2 or None, smallest n, sum only)
+    # id: (rule, or an order-only mechanism's window offsets, or these by
+    # n % 2, needs k=2, required n % 2 or None, smallest n, sum only)
     MechanismId.TWO_MEDIANS: ((0,), True, 0, 2, False),
     MechanismId.MEDIAN_RIGHT: ((0,), True, None, 2, False),
     MechanismId.MEDIAN_LEFT: ((-1,), True, None, 3, False),
     MechanismId.UNIFORM: ((-1, 0), True, 1, 2, False),
     MechanismId.REVERSE_PROPORTIONAL: (_reverse_proportional, True, 1, 2, False),
     MechanismId.MEDIAN_BALL: ((0,), False, None, 2, False),
-    MechanismId.AUTO_SUM: (_auto_sum, True, None, 2, False),
+    # Two-medians on even n (cost-optimal for the sum variant),
+    # reverse-proportional on odd n.
+    MechanismId.AUTO_SUM: ({0: (0,), 1: _reverse_proportional}, True, None, 2, False),
     MechanismId.OPT_SUM_BASELINE: (_opt_sum_baseline, False, None, 2, True),
 }
 
@@ -113,18 +109,14 @@ def as_mechanism_id(mech: MechanismId | str) -> MechanismId:
         raise InputError(f"unknown mechanism {mech!r} (known: {known})") from None
 
 
-def position_rule(mech: MechanismId | str, n: int, k: int, variant: Variant) -> Rule:
-    """The rule behind ``mech`` (the id or its CLI spelling) for n agents,
-    k facilities and ``variant``.  The returned rule is only valid for
-    sorted reports of that shape.
-
-    Preconditions depend on this shape alone, so every profile of it runs
-    through the returned rule unchecked.  They are checked in order: the
-    variant (UnsupportedVariantError), then k, the parity of n and the
-    smallest n (MechanismPreconditionError).  An order-only mechanism's
-    outcomes are fixed here, once per shape.
-    """
+def _shape_rule(
+    mech: MechanismId | str, n: int, k: int, variant: Variant
+) -> Rule | RuleOutput:
+    """The rule behind ``mech`` for this shape, or its outcomes when they
+    depend on the shape alone; raises as :func:`position_rule` documents."""
     mech = as_mechanism_id(mech)
+    require(n, int, "n")
+    require(k, int, "k")
     rule, needs_k2, parity, min_n, sum_only = _MECHANISMS[mech]
     if sum_only:
         require_sum_variant(variant, mech.value)
@@ -140,10 +132,38 @@ def position_rule(mech: MechanismId | str, n: int, k: int, variant: Variant) -> 
         raise MechanismPreconditionError(
             f"{mech.value} requires the median to have a left neighbour, got n={n}"
         )
-    if not isinstance(rule, tuple):
+    if isinstance(rule, dict):
+        rule = rule[n % 2]
+    return _windows(n, k, rule) if isinstance(rule, tuple) else rule
+
+
+def fixed_outcomes(
+    mech: MechanismId | str, n: int, k: int, variant: Variant
+) -> RuleOutput | None:
+    """The denominator and outcomes ``mech`` gives every sorted profile of
+    this shape, or None when they depend on the reports (reverse-proportional,
+    auto-sum at odd n and the optimal-cost baseline).  Raises as
+    :func:`position_rule` does."""
+    rule = _shape_rule(mech, n, k, variant)
+    return None if callable(rule) else rule
+
+
+def position_rule(mech: MechanismId | str, n: int, k: int, variant: Variant) -> Rule:
+    """The rule behind ``mech`` (the id or its CLI spelling) for n agents,
+    k facilities and ``variant``.  The returned rule is only valid for
+    sorted reports of that shape.
+
+    Preconditions depend on this shape alone, so every profile of it runs
+    through the returned rule unchecked.  They are checked in order: that
+    n and k are ints (InputError), the variant (UnsupportedVariantError),
+    then k, the parity of n and the smallest n
+    (MechanismPreconditionError).  An order-only mechanism's outcomes are
+    fixed here, once per shape: they are :func:`fixed_outcomes`.
+    """
+    rule = _shape_rule(mech, n, k, variant)
+    if callable(rule):
         return rule
-    outcome = _windows(n, k, rule)
-    return lambda xs, k: outcome
+    return lambda xs, k: rule
 
 
 def apply(mech: MechanismId | str, inst: Instance) -> Lottery:

@@ -10,14 +10,22 @@ the original instance before being reported.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import RP_BOUND
 from .errors import InputError, InvariantError
 from .generators import Family, GenSpec, generate, perturb
-from .mechanisms import MechanismId, Outcomes, apply, as_mechanism_id, position_rule
+from .mechanisms import (
+    MechanismId,
+    Outcomes,
+    Rule,
+    apply,
+    as_mechanism_id,
+    fixed_outcomes,
+    position_rule,
+)
 from .model import (
     Coord,
     Instance,
@@ -47,9 +55,10 @@ class SpViolation:
 @dataclass(frozen=True, slots=True)
 class SpScan:
     """Outcome of scanning one instance: the first violation found (if any),
-    how many deviations were cost-compared, and ``skipped``, which is always
-    0 (a deviation keeps n, k and the variant, so the mechanism's
-    precondition holds on it) and stays for the record format."""
+    ``evaluated``, the number of (agent, candidate misreport) pairs decided
+    up to and including it, and ``skipped``, which is always 0 (a deviation
+    keeps n, k and the variant, so the mechanism's precondition holds on
+    it) and stays for the record format."""
 
     violation: SpViolation | None
     evaluated: int
@@ -124,28 +133,117 @@ def _weighted_cost(
     return total
 
 
+def _floor(
+    point: int, xs: list[int], gap: int, positions: tuple[int, ...], variant: Variant
+) -> tuple[int, bool]:
+    """The cost of ``point`` toward the hosts at ``positions`` other than
+    the open slot ``gap`` of ``xs``, and whether ``positions`` holds it.
+
+    Every host but the slot is fixed within a gap, so an outcome that opens
+    the slot costs its floor combined with d = |point - x| for a misreport
+    x: floor + d under sum, max(floor, d) under max; any other outcome
+    costs its floor."""
+    hosts = [p for p in positions if p != gap]
+    return point_cost(point, xs, hosts, variant), len(hosts) < len(positions)
+
+
+def _first_profit_fixed(
+    point: int,
+    xs: list[int],
+    gap: int,
+    block: list[int],
+    outcomes: Outcomes,
+    variant: Variant,
+    honest_cost: int,
+) -> int | None:
+    """Index of the first misreport in ``block`` that, put into the open
+    slot ``gap`` of ``xs``, lowers the weighted cost of ``point`` under the
+    shape's fixed ``outcomes`` below ``honest_cost``; None if none does.
+    The weights fold into a few integers once per gap."""
+    base = 0
+    opened = []  # (weight, floor) of each outcome that opens the slot
+    for positions, weight in outcomes:
+        floor, opens = _floor(point, xs, gap, positions, variant)
+        if opens:
+            opened.append((weight, floor))
+        else:
+            base += weight * floor
+    if variant is Variant.SUM:
+        room = honest_cost - base - sum(w * f for w, f in opened)
+        slope = sum(w for w, _ in opened)
+        for i, x in enumerate(block):
+            if slope * abs(point - x) < room:
+                return i
+        return None
+    for i, x in enumerate(block):
+        d = abs(point - x)
+        cost = base
+        for w, f in opened:
+            cost += w * (f if f > d else d)
+        if cost < honest_cost:
+            return i
+    return None
+
+
+def _first_profit_by_rule(
+    point: int,
+    xs: list[int],
+    gap: int,
+    block: list[int],
+    rule: Rule,
+    k: int,
+    variant: Variant,
+    honest_cost: int,
+    honest_den: int,
+) -> int | None:
+    """As :func:`_first_profit_fixed`, for a rule whose outcomes read the
+    reports: ``rule`` runs on each misreport, and each outcome's floor is
+    priced once per gap; costs are compared as cross-multiplied integers."""
+    is_sum = variant is Variant.SUM
+    floors: dict[tuple[int, ...], tuple[int, bool]] = {}
+    for i, x in enumerate(block):
+        xs[gap] = x
+        den, outcomes = rule(xs, k)
+        d = abs(point - x)
+        total = 0
+        for positions, weight in outcomes:
+            priced = floors.get(positions)
+            if priced is None:
+                priced = floors[positions] = _floor(point, xs, gap, positions, variant)
+            floor, opens = priced
+            if opens:
+                floor = floor + d if is_sum else max(floor, d)
+            total += weight * floor
+        if total * honest_den < honest_cost * den:
+            return i
+    return None
+
+
 def sp_scan(mech: MechanismId, inst: Instance, grid_points: int = 200) -> SpScan:
     """Scan every (agent, candidate misreport) pair for a profitable deviation.
 
     Agents are visited in index order and candidates in ascending order; the
-    first strict expected-cost decrease ends the scan.  The mechanism's
+    first strict expected-cost decrease ends the scan.  ``evaluated`` counts
+    the candidates decided, that one included.  The mechanism's
     precondition is checked once, on the instance's shape, which every
     deviation shares.
 
     Internally, agents share one candidate superset (their own current report
-    is skipped in the loop, so the per-agent difference is immaterial), and
-    the scan runs on integers: locations and candidates are multiplied by
-    the scale of :func:`_scan_scale` (mechanisms commute with positive
-    rescaling).  Each agent's other reports are sorted once; every candidate
-    is inserted into that list and the mechanism's position rule is applied
-    to it directly, and expected costs are compared as cross-multiplied
-    integers.  Any hit is re-verified at original scale through the
+    is skipped, so the per-agent difference is immaterial), and the scan
+    runs on integers: locations and candidates are multiplied by the scale
+    of :func:`_scan_scale` (mechanisms commute with positive rescaling).
+    Each agent's candidates are walked gap by gap between its sorted other
+    reports: all candidates in one gap take the same sorted position, so
+    the deviated profile is built once per gap with one open slot, and each
+    outcome's cost toward the other hosts is priced once per gap (see
+    :func:`_floor`).  Any hit is re-verified at original scale through the
     validated :func:`~flp.mechanisms.apply` path before it is reported, so
     a returned violation is always genuine.
     """
     k, variant = inst.k, inst.variant
     scale, locs, cands = _scaled_candidates(inst, grid_points)
     rule = position_rule(mech, inst.n, k, variant)
+    fixed = fixed_outcomes(mech, inst.n, k, variant)
     superset = sorted(cands.union(locs))
     honest_xs = sorted(locs)
     honest_den, honest = rule(honest_xs, k)
@@ -155,20 +253,34 @@ def sp_scan(mech: MechanismId, inst: Instance, grid_points: int = 200) -> SpScan
         honest_cost = _weighted_cost(true_here, honest_xs, honest, variant)
         others = list(honest_xs)
         others.remove(true_here)
-        for x in superset:
-            if x == true_here:
+        own_gap = bisect_right(others, true_here)
+        start = 0
+        for gap in range(len(others) + 1):
+            # Candidates in [others[gap-1], others[gap]) land at position gap.
+            end = bisect_left(superset, others[gap]) if gap < len(others) else None
+            block = superset[start:end]
+            start += len(block)
+            if gap == own_gap:
+                block.remove(true_here)
+            if not block:
                 continue
-            xs = others.copy()
-            insort(xs, x)
-            den, outcomes = rule(xs, k)
-            evaluated += 1
-            if _weighted_cost(true_here, xs, outcomes, variant) * honest_den < (
-                honest_cost * den
-            ):
-                misreport = as_coord(Fraction(x, scale))
-                return SpScan(
-                    _certify_violation(mech, inst, agent, misreport), evaluated, 0
+            xs = others[:gap] + [true_here] + others[gap:]
+            if fixed is None:
+                hit = _first_profit_by_rule(
+                    true_here, xs, gap, block, rule, k, variant, honest_cost, honest_den
                 )
+            else:
+                hit = _first_profit_fixed(
+                    true_here, xs, gap, block, fixed[1], variant, honest_cost
+                )
+            if hit is None:
+                evaluated += len(block)
+                continue
+            evaluated += hit + 1
+            misreport = as_coord(Fraction(block[hit], scale))
+            return SpScan(
+                _certify_violation(mech, inst, agent, misreport), evaluated, 0
+            )
     return SpScan(None, evaluated, 0)
 
 

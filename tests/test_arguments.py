@@ -19,8 +19,11 @@ from flp import (
     sp_scan,
     worst_ratio_search,
 )
+from flp.mechanisms import fixed_outcomes, position_rule
 
 MR = MechanismId.MEDIAN_RIGHT
+BALL = MechanismId.MEDIAN_BALL
+SUM, MAX = Variant.SUM, Variant.MAX
 INST = Instance((0, 1, 3), 2, Variant.SUM)
 
 
@@ -54,10 +57,17 @@ INT_ARGS = [
         1,
     ),
     ("sp_scan-grid_points", lambda v: sp_scan(MR, INST, v), "grid_points", 0, 3),
+    ("declared_bound-n", lambda v: declared_bound(MR, SUM, v, 2), "n", None, 3),
+    ("declared_bound-k", lambda v: declared_bound(MR, SUM, 3, v), "k", None, 2),
+    ("position_rule-n", lambda v: position_rule(MR.value, v, 2, SUM), "n", None, 3),
+    ("position_rule-k", lambda v: position_rule(MR.value, 3, v, SUM), "k", None, 2),
+    ("position_rule-ball-n", lambda v: position_rule(BALL, v, 1, MAX), "n", None, 2),
+    ("fixed_outcomes-n", lambda v: fixed_outcomes(BALL, v, 3, MAX), "n", None, 4),
+    ("fixed_outcomes-k", lambda v: fixed_outcomes(BALL, 4, v, MAX), "k", None, 3),
 ]
 
 # (id, call with the argument, the argument's name, a good value)
-SUM, GRID = Variant.SUM, Family.UNIFORM_GRID
+GRID = Family.UNIFORM_GRID
 ENUM_ARGS = [
     ("Instance-variant", lambda v: Instance((0, 1, 3), 2, v), "variant", SUM),
     ("GenSpec-variant", lambda v: spec(variant=v), "variant", SUM),

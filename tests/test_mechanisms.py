@@ -5,6 +5,8 @@ Each frozen lottery below was derived by hand from the mechanism's rule and
 double-checked by exact expected-cost arithmetic.
 """
 
+import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +27,7 @@ from flp import (
     expected_social_cost,
     is_strategyproof,
 )
+from flp.mechanisms import fixed_outcomes, position_rule
 
 
 def sum_inst(*locs, k=2):
@@ -251,6 +254,30 @@ class TestMedianBall:
             assert dict(apply(mech, inst).support) == expect
 
         run()
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("mech", list(MechanismId), ids=lambda m: m.value)
+def test_fixed_outcomes_are_the_rule_on_every_profile(mech, variant):
+    # The shape's fixed outcomes are what the rule gives any sorted reports;
+    # only the rules that read the reports have none.
+    reads_reports = {MechanismId.REVERSE_PROPORTIONAL, MechanismId.OPT_SUM_BASELINE}
+    rng = random.Random(f"{mech.value}:{variant.value}")
+    for n in range(2, 10):
+        for k in range(2, min(n, 5) + 1):
+            try:
+                rule = position_rule(mech, n, k, variant)
+            except (MechanismPreconditionError, UnsupportedVariantError) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    fixed_outcomes(mech, n, k, variant)
+                continue
+            fixed = fixed_outcomes(mech, n, k, variant)
+            if mech in reads_reports or (mech is MechanismId.AUTO_SUM and n % 2):
+                assert fixed is None, (n, k)
+                continue
+            for _ in range(20):
+                xs = sorted(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n))
+                assert fixed == rule(xs, k), (n, k, xs)
 
 
 class TestAutoSum:

@@ -11,9 +11,11 @@ none.
 import ast
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
+from bisect import bisect_right
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -22,6 +24,7 @@ import pytest
 import flp
 from flp import (
     Family,
+    FlpError,
     GenSpec,
     InfeasibleError,
     InputError,
@@ -43,7 +46,15 @@ from flp import (
     sp_scan,
     worst_ratio_search,
 )
-from flp.verification import _certify_violation, _check_ratio, _scaled_candidates
+from flp.mechanisms import fixed_outcomes, position_rule
+from flp.verification import (
+    _certify_violation,
+    _check_ratio,
+    _first_profit_by_rule,
+    _first_profit_fixed,
+    _scaled_candidates,
+    _weighted_cost,
+)
 
 
 def sum_inst(*locs, k=2):
@@ -218,20 +229,28 @@ def assert_scan_candidates_match_reference(inst, grid_points):
 class TestScannerMatchesReference:
     # Every mechanism under every variant it accepts, each on all four
     # families; the baseline also at k=3, where it scans median windows.
+    # The sp-suite's wide median-ball windows, n=6 medians and uniform at
+    # n=3 put the misreport's slot inside long windows and max floors.
     CASES = [
         (MechanismId.TWO_MEDIANS, Variant.SUM, 4, 2),
+        (MechanismId.TWO_MEDIANS, Variant.SUM, 6, 2),
         (MechanismId.TWO_MEDIANS, Variant.MAX, 4, 2),
         (MechanismId.MEDIAN_RIGHT, Variant.SUM, 3, 2),
         (MechanismId.MEDIAN_RIGHT, Variant.MAX, 4, 2),
         (MechanismId.MEDIAN_LEFT, Variant.SUM, 4, 2),
         (MechanismId.MEDIAN_LEFT, Variant.MAX, 3, 2),
         (MechanismId.UNIFORM, Variant.SUM, 3, 2),
+        (MechanismId.UNIFORM, Variant.MAX, 3, 2),
         (MechanismId.UNIFORM, Variant.MAX, 5, 2),
         (MechanismId.REVERSE_PROPORTIONAL, Variant.SUM, 3, 2),
         (MechanismId.REVERSE_PROPORTIONAL, Variant.MAX, 5, 2),
         (MechanismId.MEDIAN_BALL, Variant.SUM, 5, 3),
+        (MechanismId.MEDIAN_BALL, Variant.SUM, 7, 5),
         (MechanismId.MEDIAN_BALL, Variant.MAX, 5, 3),
+        (MechanismId.MEDIAN_BALL, Variant.MAX, 6, 4),
+        (MechanismId.MEDIAN_BALL, Variant.MAX, 7, 5),
         (MechanismId.AUTO_SUM, Variant.SUM, 3, 2),
+        (MechanismId.AUTO_SUM, Variant.SUM, 6, 2),
         (MechanismId.AUTO_SUM, Variant.MAX, 4, 2),
         (MechanismId.OPT_SUM_BASELINE, Variant.SUM, 3, 2),
         (MechanismId.OPT_SUM_BASELINE, Variant.SUM, 4, 2),
@@ -259,6 +278,42 @@ class TestScannerMatchesReference:
                 )
                 want, evaluated = naive_first_violation(mech, inst, grid_points=40)
                 assert (got, scan.evaluated, scan.skipped) == (want, evaluated, 0)
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_gap_pricing_matches_the_filled_profile(variant):
+    # A misreport priced from its gap's floors costs what it costs on the
+    # profile with the misreport inserted: profitable against one more than
+    # that cost, not against the cost itself.  The slot holds a far-off
+    # value, which the pricing must not read.
+    rng = random.Random(variant.value)
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        k = rng.randint(2, min(n, 4))
+        others = sorted(rng.randint(0, 6) for _ in range(n - 1))
+        point = rng.randint(-1, 7)
+        for mech in MechanismId:
+            try:
+                rule = position_rule(mech, n, k, variant)
+            except FlpError:
+                continue
+            fixed = fixed_outcomes(mech, n, k, variant)
+            for x in range(-2, 9):
+                gap = bisect_right(others, x)
+                filled = others[:gap] + [x] + others[gap:]
+                den, outcomes = rule(filled, k)
+                cost = _weighted_cost(point, filled, outcomes, variant)
+                for honest_cost, want in ((cost, None), (cost + 1, 0)):
+                    xs = others[:gap] + [10**6] + others[gap:]
+                    if fixed is None:
+                        got = _first_profit_by_rule(
+                            point, xs, gap, [x], rule, k, variant, honest_cost, den
+                        )
+                    else:
+                        got = _first_profit_fixed(
+                            point, xs, gap, [x], fixed[1], variant, honest_cost
+                        )
+                    assert got == want, (mech, n, k, others, point, x, honest_cost)
 
 
 def test_public_surface_is_pinned():
