@@ -7,9 +7,10 @@ such a configuration never trips the bound check).
 The same rows, minus the optimal-cost baseline, are the pairs claimed to be
 strategyproof.
 
-The reverse-proportional guarantee is an irrational constant; comparisons use
-:data:`RP_BOUND`, a fixed rational over-approximation accurate to 12 digits,
-so an exact ratio that meets the true bound always passes.
+The reverse-proportional guarantee is the irrational constant 10 - 4*sqrt(5).
+Its rows hold :data:`RP_BOUND`, a fixed rational over-approximation accurate
+to 12 digits, and :func:`exceeds_bound` decides a ratio against the constant
+itself, exactly, in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -69,6 +70,18 @@ def declared_bound(
     row = BOUND_TABLE.get(key)
     ceiling = None if row is None else row[n % 2]
     return ceiling(n, k) if callable(ceiling) else ceiling
+
+
+def exceeds_bound(ratio: Fraction, bound: Fraction) -> bool:
+    """Whether ``ratio`` exceeds the ceiling declared as ``bound``.
+
+    Every declared bound is exact except :data:`RP_BOUND`, which declares
+    10 - 4*sqrt(5); r <= 10 - 4*sqrt(5) exactly when r <= 10 and
+    (10 - r)**2 >= 80.
+    """
+    if bound == RP_BOUND:
+        return not (ratio <= 10 and (10 - ratio) ** 2 >= 80)
+    return ratio > bound
 
 
 def is_strategyproof(mech: MechanismId | str, variant: Variant | None = None) -> bool:

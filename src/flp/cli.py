@@ -20,7 +20,7 @@ import enum
 import sys
 from typing import Any, Callable, TextIO
 
-from .bounds import declared_bound, is_strategyproof
+from .bounds import declared_bound, exceeds_bound, is_strategyproof
 from .errors import (
     FlpError,
     InfeasibleError,
@@ -208,7 +208,7 @@ def cmd_ratio_sweep(args: argparse.Namespace) -> int:
     _emit(write_sweep_csv, reports, args.out)
     bound = declared_bound(mech, spec.variant, args.n, args.k)
     worst = max(reports, key=lambda r: r.ratio, default=None)  # first maximal
-    if bound is not None and worst is not None and worst.ratio > bound:
+    if bound is not None and worst is not None and exceeds_bound(worst.ratio, bound):
         print(
             f"bound exceeded: {mech.value} reached ratio {worst.ratio} "
             f"(> declared {bound}) on locations "

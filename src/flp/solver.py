@@ -95,7 +95,11 @@ def optimal_sum_window(xs: Sequence[Coord], k: int) -> tuple[int, ...]:
     For k = 2: the two medians when n is even; the median plus its nearer
     neighbour when n is odd (distance ties go left).  For larger k: the
     cheapest window of k consecutive positions that covers a median
-    position, leftmost window first on ties.
+    position, leftmost window first on ties.  A window costs the sum of its
+    hosts' totals T(p) = sum of |x - xs[p]| over all reports; T is summed
+    once at the first host and stepped right with
+    T(p + 1) = T(p) + (xs[p + 1] - xs[p]) * (2p + 2 - n), so the scan takes
+    O(n + k).
     """
     n = len(xs)
     lo, hi = (n - 1) // 2, n // 2
@@ -105,11 +109,18 @@ def optimal_sum_window(xs: Sequence[Coord], k: int) -> tuple[int, ...]:
         if xs[lo] - xs[lo - 1] <= xs[lo + 1] - xs[lo]:
             return (lo - 1, lo)
         return (lo, lo + 1)
-    # min keeps the first of equal keys, i.e. the leftmost window.
-    start = min(
-        range(max(0, lo - k + 1), min(hi, n - k) + 1),
-        key=lambda s: sum(abs(x - xs[p]) for p in range(s, s + k) for x in xs),
-    )
+    first, last = max(0, lo - k + 1), min(hi, n - k)
+    host = sum(abs(x - xs[first]) for x in xs)  # T(first)
+    totals = [host]
+    for p in range(first, last + k - 1):
+        host += (xs[p + 1] - xs[p]) * (2 * p + 2 - n)
+        totals.append(host)
+    price = cost = sum(totals[:k])
+    start = first
+    for s in range(first + 1, last + 1):
+        price += totals[s - first + k - 1] - totals[s - first - 1]
+        if price < cost:  # strict: the leftmost window keeps a tie
+            start, cost = s, price
     return tuple(range(start, start + k))
 
 

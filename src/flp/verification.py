@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import RP_BOUND
+from .bounds import RP_BOUND, exceeds_bound
 from .errors import InputError, InvariantError
 from .generators import Family, GenSpec, generate, perturb
 from .mechanisms import (
@@ -156,10 +156,17 @@ def _first_profit_fixed(
     variant: Variant,
     honest_cost: int,
 ) -> int | None:
-    """Index of the first misreport in ``block`` that, put into the open
-    slot ``gap`` of ``xs``, lowers the weighted cost of ``point`` under the
-    shape's fixed ``outcomes`` below ``honest_cost``; None if none does.
-    The weights fold into a few integers once per gap."""
+    """Index of the first misreport in the ascending ``block`` that, put
+    into the open slot ``gap`` of ``xs``, lowers the weighted cost of
+    ``point`` under the shape's fixed ``outcomes`` below ``honest_cost``;
+    None if none does.
+
+    The weights fold into a few integers once per gap, and a misreport's
+    cost is then nondecreasing in d = |point - x|: base + slope·d under sum,
+    base + Σ w·max(floor, d) under max.  So the profitable misreports left
+    of ``point`` form a suffix of that part of the block, and those right of
+    it a prefix of the rest: one bisection finds the first on the left, and
+    failing that only the first one on the right needs pricing."""
     base = 0
     opened = []  # (weight, floor) of each outcome that opens the slot
     for positions, weight in outcomes:
@@ -171,17 +178,25 @@ def _first_profit_fixed(
     if variant is Variant.SUM:
         room = honest_cost - base - sum(w * f for w, f in opened)
         slope = sum(w for w, _ in opened)
-        for i, x in enumerate(block):
-            if slope * abs(point - x) < room:
-                return i
-        return None
-    for i, x in enumerate(block):
-        d = abs(point - x)
-        cost = base
-        for w, f in opened:
-            cost += w * (f if f > d else d)
-        if cost < honest_cost:
-            return i
+
+        def profits(x: int) -> bool:
+            return slope * abs(point - x) < room
+
+    else:
+
+        def profits(x: int) -> bool:
+            d = abs(point - x)
+            cost = base
+            for w, f in opened:
+                cost += w * (f if f > d else d)
+            return cost < honest_cost
+
+    split = bisect_left(block, point)
+    first = bisect_left(block, True, 0, split, key=profits)
+    if first < split:
+        return first
+    if split < len(block) and profits(block[split]):
+        return split
     return None
 
 
@@ -236,9 +251,14 @@ def sp_scan(mech: MechanismId, inst: Instance, grid_points: int = 200) -> SpScan
     reports: all candidates in one gap take the same sorted position, so
     the deviated profile is built once per gap with one open slot, and each
     outcome's cost toward the other hosts is priced once per gap (see
-    :func:`_floor`).  Any hit is re-verified at original scale through the
-    validated :func:`~flp.mechanisms.apply` path before it is reported, so
-    a returned violation is always genuine.
+    :func:`_floor`).  When the shape fixes the outcomes, a misreport's cost
+    only grows with its distance from the true location, so each gap is
+    decided by two bisections (:func:`_first_profit_fixed`) instead of
+    pricing every candidate; ``evaluated`` still counts the candidates up
+    to the first profitable one, as a linear walk would.  Any hit is
+    re-verified at original scale through the validated
+    :func:`~flp.mechanisms.apply` path before it is reported, so a returned
+    violation is always genuine.
     """
     k, variant = inst.k, inst.variant
     scale, locs, cands = _scaled_candidates(inst, grid_points)
@@ -438,7 +458,7 @@ def _check_ratio(
         shown = f"{ratio} ~ {float(ratio):.10f}"
     return RegressionResult(
         name,
-        lo <= ratio and (hi is None or ratio <= hi),
+        lo <= ratio and (hi is None or not exceeds_bound(ratio, hi)),
         f"{mech.value} k={inst.k} {inst.variant.value} ratio on ({locs}): {shown} "
         f"(want {want})",
     )

@@ -10,8 +10,8 @@ Criteria:
   2. Median + right-neighbour (sum): 3/2 fixture and the n/(n-1) odd-n bound
      over 2,000 random instances.
   3. Gap-weighted median lottery (sum): ratio within 1e-4 of 1.0557280900 on
-     the near-worst-case fixture and under 1.055728090001 over 2,000 random
-     odd-n instances.
+     the near-worst-case fixture and at most 10 - 4*sqrt(5), decided
+     exactly, over 2,000 random odd-n instances.
   4. Max-variant ratios: fixtures 3 and 2, plus sweeps against the declared
      even/odd bounds.
   5. Median window for k >= 2: max fixture 4, sum fixture >= 5/3 - 1/100,
@@ -52,6 +52,7 @@ from flp import (
     social_cost,
     sp_scan,
 )
+from flp.bounds import exceeds_bound
 from flp.cli import ExitCode, main
 from enumeration import enumerated_optimum
 from pair_cost import lemma_pair_cost_consistent
@@ -154,14 +155,14 @@ def test_c3_gap_weighted_lottery_bound():
             r = approx_ratio(MechanismId.REVERSE_PROPORTIONAL, inst).ratio
             checked += 1
             worst = max(worst, r)
-            if r > RP_BOUND:
+            if exceeds_bound(r, RP_BOUND):
                 failures.append(f"n={n} locations={inst.locations} ratio={r}")
                 break
     conclude(
         "criterion 3: gap-weighted lottery bound",
         failures,
         f"fixture within 1e-4 of 1.0557280900 (got {float(ratio):.10f}); "
-        f"{checked} random odd-n instances <= 1.055728090001 "
+        f"{checked} random odd-n instances <= 10 - 4*sqrt(5) "
         f"(worst seen {float(worst):.10f})",
     )
 

@@ -15,6 +15,7 @@ from flp import (
     declared_bound,
     is_strategyproof,
 )
+from flp.bounds import exceeds_bound
 
 
 class TestDeclaredValues:
@@ -146,6 +147,25 @@ class TestRpBoundConstant:
 
     def test_matches_twelve_digit_decimal(self):
         assert RP_BOUND == F(1_055_728_090_001, 10**12)
+
+
+class TestExceedsBound:
+    # 10 - 4*sqrt(5) = 1.05572809000084...; this ratio lies between it and
+    # RP_BOUND, so comparing against RP_BOUND would let it pass.
+    BETWEEN = F(10_557_280_900_009, 10**13)
+
+    def test_reverse_proportional_ceiling_is_decided_exactly(self):
+        assert self.BETWEEN < RP_BOUND and (10 - self.BETWEEN) ** 2 < 80
+        assert exceeds_bound(self.BETWEEN, RP_BOUND)
+        assert exceeds_bound(RP_BOUND, RP_BOUND)
+        assert not exceeds_bound(F(10557, 10000), RP_BOUND)
+        assert not exceeds_bound(F(1), RP_BOUND)
+        assert exceeds_bound(F(19), RP_BOUND)  # (10 - 19)^2 >= 80, but 19 > 10
+
+    def test_other_ceilings_are_exact(self):
+        assert not exceeds_bound(F(3, 2), F(3, 2))
+        assert exceeds_bound(F(3, 2) + F(1, 10**30), F(3, 2))
+        assert not exceeds_bound(self.BETWEEN, self.BETWEEN)
 
 
 if __name__ == "__main__":

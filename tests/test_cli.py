@@ -489,6 +489,27 @@ class TestRatioSweep:
             "locations ['5', '9', '5']\n"
         )
 
+    @pytest.mark.parametrize(
+        "ratio,code",
+        [
+            (F(10557, 10000), ExitCode.OK),
+            # Below RP_BOUND, but above the true ceiling 10 - 4*sqrt(5).
+            (F(10_557_280_900_009, 10**13), ExitCode.BOUND_EXCEEDED),
+        ],
+    )
+    def test_reverse_proportional_ceiling_is_exact(
+        self, tmp_path, capsys, monkeypatch, ratio, code
+    ):
+        def report(mech, inst):
+            return verification.RatioReport(mech, inst, ratio, 1, ratio)
+
+        monkeypatch.setattr(cli, "approx_ratio", report)
+        got, _, err = self.run_sweep(tmp_path, capsys, mech="reverse-proportional")
+        assert got == code
+        assert ("(> declared 1055728090001/1000000000000)" in err) == (
+            code == ExitCode.BOUND_EXCEEDED
+        )
+
     # sha256 of the whole CSV, seed 3: pins every byte of the rows and of
     # the summary row.  median-left on even n declares no ceiling.
     @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ property-style, against the enumeration oracle on random instances.
 """
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +27,7 @@ from flp import (
     generate,
     social_cost,
 )
+from flp.solver import optimal_sum_window
 from enumeration import enumerated_optimum
 
 
@@ -226,6 +228,28 @@ class TestFastOptimalSum:
         brute = brute_force_optimal(inst)
         assert fast.cost == brute.cost
         assert social_cost(inst, fast.solution) == fast.cost
+
+    def test_window_scan_matches_the_fresh_sum_oracle(self):
+        # Every median-covering window priced by a fresh sum over all
+        # reports, the first of equal prices kept; tie-heavy reports make
+        # equal prices common, so a scan that keeps a later tie fails here.
+        def oracle(xs, k):
+            n = len(xs)
+            lo, hi = (n - 1) // 2, n // 2
+            start = min(
+                range(max(0, lo - k + 1), min(hi, n - k) + 1),
+                key=lambda s: sum(abs(x - xs[p]) for p in range(s, s + k) for x in xs),
+            )
+            return tuple(range(start, start + k))
+
+        rng = random.Random(3)
+        for n in range(3, 41):
+            for k in range(3, min(n, 8) + 1):
+                for spread in (1, 4):
+                    ints = sorted(rng.randint(0, spread) for _ in range(n))
+                    fracs = sorted(F(rng.randint(0, 2 * spread), 2) for _ in range(n))
+                    for xs in (ints, fracs, [-x for x in reversed(ints)]):
+                        assert optimal_sum_window(xs, k) == oracle(xs, k), (xs, k)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ none.
 
 import ast
 import json
+import math
 import os
 import random
 import subprocess
@@ -46,6 +47,8 @@ from flp import (
     sp_scan,
     worst_ratio_search,
 )
+import flp.verification as verification
+from flp.bounds import exceeds_bound
 from flp.mechanisms import fixed_outcomes, position_rule
 from flp.verification import (
     _certify_violation,
@@ -283,37 +286,52 @@ class TestScannerMatchesReference:
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
 def test_gap_pricing_matches_the_filled_profile(variant):
     # A misreport priced from its gap's floors costs what it costs on the
-    # profile with the misreport inserted: profitable against one more than
-    # that cost, not against the cost itself.  The slot holds a far-off
-    # value, which the pricing must not read.
+    # profile with the misreport inserted: the index returned for a gap's
+    # whole ascending block is the first misreport whose filled-profile cost
+    # is below the honest cost, for an honest cost at and just above each
+    # candidate's cost in turn.  The blocks lie left of the point, right of
+    # it, and around it in its own gap (without the point, as in sp_scan),
+    # so a bisection that misreads either side's order fails here.  The slot
+    # holds a far-off value, which the pricing must not read.
     rng = random.Random(variant.value)
     for _ in range(150):
         n = rng.randint(2, 7)
         k = rng.randint(2, min(n, 4))
         others = sorted(rng.randint(0, 6) for _ in range(n - 1))
         point = rng.randint(-1, 7)
+        blocks = [[] for _ in range(n)]
+        for x in range(-2, 9):
+            if x != point:
+                blocks[bisect_right(others, x)].append(x)
         for mech in MechanismId:
             try:
                 rule = position_rule(mech, n, k, variant)
             except FlpError:
                 continue
             fixed = fixed_outcomes(mech, n, k, variant)
-            for x in range(-2, 9):
-                gap = bisect_right(others, x)
-                filled = others[:gap] + [x] + others[gap:]
-                den, outcomes = rule(filled, k)
-                cost = _weighted_cost(point, filled, outcomes, variant)
-                for honest_cost, want in ((cost, None), (cost + 1, 0)):
-                    xs = others[:gap] + [10**6] + others[gap:]
+            for gap, block in enumerate(blocks):
+                priced = []
+                for x in block:
+                    filled = others[:gap] + [x] + others[gap:]
+                    d, outcomes = rule(filled, k)
+                    priced.append((_weighted_cost(point, filled, outcomes, variant), d))
+                # Costs over one common denominator, which the honest cost shares.
+                den = math.lcm(1, *(d for _, d in priced))
+                costs = [c * (den // d) for c, d in priced]
+                xs = others[:gap] + [10**6] + others[gap:]
+                for honest_cost in {c + e for c in costs for e in (0, 1)}:
+                    want = next(
+                        (i for i, c in enumerate(costs) if c < honest_cost), None
+                    )
                     if fixed is None:
                         got = _first_profit_by_rule(
-                            point, xs, gap, [x], rule, k, variant, honest_cost, den
+                            point, xs, gap, block, rule, k, variant, honest_cost, den
                         )
                     else:
                         got = _first_profit_fixed(
-                            point, xs, gap, [x], fixed[1], variant, honest_cost
+                            point, xs, gap, block, fixed[1], variant, honest_cost
                         )
-                    assert got == want, (mech, n, k, others, point, x, honest_cost)
+                    assert got == want, (mech, n, k, others, point, block, honest_cost)
 
 
 def test_public_surface_is_pinned():
@@ -498,7 +516,8 @@ class TestWorstRatioSearch:
             seed=0,
             perturb_rounds=12,
         )
-        assert F(10556, 10000) <= report.ratio <= RP_BOUND
+        assert F(10556, 10000) <= report.ratio
+        assert not exceeds_bound(report.ratio, RP_BOUND)
 
     def test_two_medians_is_optimal_for_even_sum(self):
         report = worst_ratio_search(
@@ -567,6 +586,28 @@ class TestRegressions:
         ):
             result = _check_ratio("probe", MechanismId.MEDIAN_RIGHT, inst, lo, hi)
             assert result.passed is passed
+
+    @pytest.mark.parametrize(
+        "ratio,passed",
+        [
+            (F(10557, 10000), True),
+            # Below RP_BOUND, but above the true ceiling 10 - 4*sqrt(5).
+            (F(10_557_280_900_009, 10**13), False),
+            (RP_BOUND, False),
+        ],
+    )
+    def test_ratio_checker_decides_the_rp_ceiling_exactly(
+        self, monkeypatch, ratio, passed
+    ):
+        def report(mech, inst):
+            return RatioReport(mech, inst, ratio, 1, ratio)
+
+        monkeypatch.setattr(verification, "approx_ratio", report)
+        name, mech, inst, lo, hi = next(
+            row for row in verification._RATIO_FIXTURES if row[0] == "sum-rand-1.0557"
+        )
+        assert hi == RP_BOUND
+        assert _check_ratio(name, mech, inst, lo, hi).passed is passed
 
 
 if __name__ == "__main__":
