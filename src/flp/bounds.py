@@ -7,25 +7,47 @@ such a configuration never trips the bound check).
 The same rows, minus the optimal-cost baseline, are the pairs claimed to be
 strategyproof.
 
-The reverse-proportional guarantee is the irrational constant 10 - 4*sqrt(5).
-Its rows hold :data:`RP_BOUND`, a fixed rational over-approximation accurate
-to 12 digits, and :func:`exceeds_bound` decides a ratio against the constant
-itself, exactly, in rational arithmetic.
+Every ceiling is exact, :data:`RP_BOUND` = 10 - 4*sqrt(5) too: compare with ``>``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Callable, Optional, Union
 
 from .mechanisms import MechanismId, as_mechanism_id
 from .model import Variant, require
 
-RP_BOUND = Fraction(1_055_728_090_001, 10**12)
-"""Rational over-approximation (12 correct digits) of the tight
-reverse-proportional constant, which is approximately 1.0557280900."""
 
-_Ceiling = Union[Fraction, Callable[[int, int], Fraction], None]
+@total_ordering
+@dataclass(frozen=True)
+class Surd:
+    """The irrational a + b*sqrt(c), for rational b != 0 and non-square int c > 0.
+    Compares exactly with any int or Fraction, in either order; equals none."""
+
+    a: Fraction
+    b: Fraction
+    c: int
+
+    def __gt__(self, other: object) -> bool:
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        u, b = self.a - other, self.b  # self > other iff u + b*sqrt(c) > 0
+        if u * b >= 0:  # u and b agree in sign, or one is 0
+            return u + b > 0
+        return (u * u - b * b * self.c) * u > 0  # the larger of u*u, b*b*c wins
+
+    def __str__(self) -> str:
+        return f"{self.a} {'-' if self.b < 0 else '+'} {abs(self.b)}*sqrt({self.c})"
+
+
+RP_BOUND = Surd(Fraction(10), Fraction(-4), 5)
+"""The tight reverse-proportional ceiling 10 - 4*sqrt(5) ~ 1.0557280900."""
+
+# "Surd" by name: typing caches each Union, and the class would pin every re-import.
+_Ceiling = Union[Fraction, "Surd", Callable[[int, int], Fraction], None]
 """A ratio ceiling: a constant, a function of (n, k), or None for no claim."""
 
 BOUND_TABLE: dict[tuple[MechanismId, Variant], tuple[_Ceiling, _Ceiling]] = {
@@ -61,7 +83,7 @@ BOUND_TABLE: dict[tuple[MechanismId, Variant], tuple[_Ceiling, _Ceiling]] = {
 
 def declared_bound(
     mech: MechanismId | str, variant: Variant, n: int, k: int
-) -> Optional[Fraction]:
+) -> Optional[Fraction | Surd]:
     """The guaranteed ratio ceiling for this configuration, or None if the
     mechanism makes no claim for this variant (or this parity of n)."""
     key = (as_mechanism_id(mech), require(variant, Variant, "variant"))
@@ -70,18 +92,6 @@ def declared_bound(
     row = BOUND_TABLE.get(key)
     ceiling = None if row is None else row[n % 2]
     return ceiling(n, k) if callable(ceiling) else ceiling
-
-
-def exceeds_bound(ratio: Fraction, bound: Fraction) -> bool:
-    """Whether ``ratio`` exceeds the ceiling declared as ``bound``.
-
-    Every declared bound is exact except :data:`RP_BOUND`, which declares
-    10 - 4*sqrt(5); r <= 10 - 4*sqrt(5) exactly when r <= 10 and
-    (10 - r)**2 >= 80.
-    """
-    if bound == RP_BOUND:
-        return not (ratio <= 10 and (10 - ratio) ** 2 >= 80)
-    return ratio > bound
 
 
 def is_strategyproof(mech: MechanismId | str, variant: Variant | None = None) -> bool:

@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import RP_BOUND, exceeds_bound
+from .bounds import RP_BOUND, Surd
 from .errors import InputError, InvariantError
 from .generators import Family, GenSpec, generate, perturb
 from .mechanisms import (
@@ -446,7 +446,7 @@ REGRESSION_NAMES = tuple(row[0] for row in _RATIO_FIXTURES) + (_STRUCTURE_FIXTUR
 
 
 def _check_ratio(
-    name: str, mech: MechanismId, inst: Instance, lo: Coord, hi: Coord | None
+    name: str, mech: MechanismId, inst: Instance, lo: Coord, hi: Coord | Surd | None
 ) -> RegressionResult:
     ratio = approx_ratio(mech, inst).ratio
     locs = ", ".join(str(x) for x in inst.locations)
@@ -458,7 +458,7 @@ def _check_ratio(
         shown = f"{ratio} ~ {float(ratio):.10f}"
     return RegressionResult(
         name,
-        lo <= ratio and (hi is None or not exceeds_bound(ratio, hi)),
+        lo <= ratio and (hi is None or ratio <= hi),
         f"{mech.value} k={inst.k} {inst.variant.value} ratio on ({locs}): {shown} "
         f"(want {want})",
     )

@@ -52,7 +52,6 @@ from flp import (
     social_cost,
     sp_scan,
 )
-from flp.bounds import exceeds_bound
 from flp.cli import ExitCode, main
 from enumeration import enumerated_optimum
 from pair_cost import lemma_pair_cost_consistent
@@ -155,7 +154,7 @@ def test_c3_gap_weighted_lottery_bound():
             r = approx_ratio(MechanismId.REVERSE_PROPORTIONAL, inst).ratio
             checked += 1
             worst = max(worst, r)
-            if exceeds_bound(r, RP_BOUND):
+            if r > RP_BOUND:
                 failures.append(f"n={n} locations={inst.locations} ratio={r}")
                 break
     conclude(

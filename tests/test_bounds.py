@@ -1,12 +1,21 @@
 """Declared-bound table tests: exact values per (mechanism, variant, n, k),
-None where no guarantee is claimed, and the rational over-approximation of
-the irrational reverse-proportional constant.
+None where no guarantee is claimed, and exact comparison of rationals with
+the irrational reverse-proportional ceiling 10 - 4*sqrt(5).
 """
 
+import math
+import os
+import subprocess
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+import flp
 from flp import (
     InputError,
     MechanismId,
@@ -15,7 +24,7 @@ from flp import (
     declared_bound,
     is_strategyproof,
 )
-from flp.bounds import exceeds_bound
+from flp.bounds import Surd
 
 
 class TestDeclaredValues:
@@ -73,11 +82,14 @@ class TestDeclaredValues:
     def test_every_claim_is_a_rational_at_least_one(self, mech, variant):
         for n, k in ((2, 2), (3, 2), (6, 4), (9, 5)):
             bound = declared_bound(mech, variant, n, k)
-            assert bound is None or (isinstance(bound, F) and bound >= 1)
+            # Every ceiling is a rational but the exact 10 - 4*sqrt(5).
+            exact = isinstance(bound, F) or bound is RP_BOUND
+            assert bound is None or (exact and bound >= 1)
 
 
 # The README's "declared ratio ceiling" column, one entry per claimed
 # (mechanism, variant) pair; every other pair claims nothing.
+_TEN_MINUS_4_ROOT_5 = Surd(F(10), F(-4), 5)
 _README_CEILINGS = {
     (MechanismId.TWO_MEDIANS, Variant.SUM): lambda n, k: 1,
     (MechanismId.MEDIAN_RIGHT, Variant.SUM): lambda n, k: (
@@ -93,13 +105,11 @@ _README_CEILINGS = {
         None if n % 2 == 0 else F(2 * n, n - 1)
     ),
     (MechanismId.UNIFORM, Variant.MAX): lambda n, k: F(3 * n - 1, 2 * n - 2),
-    (MechanismId.REVERSE_PROPORTIONAL, Variant.SUM): lambda n, k: (
-        F(1_055_728_090_001, 10**12)
-    ),
+    (MechanismId.REVERSE_PROPORTIONAL, Variant.SUM): lambda n, k: _TEN_MINUS_4_ROOT_5,
     (MechanismId.MEDIAN_BALL, Variant.SUM): lambda n, k: 2,
     (MechanismId.MEDIAN_BALL, Variant.MAX): lambda n, k: k + 1,
     (MechanismId.AUTO_SUM, Variant.SUM): lambda n, k: (
-        1 if n % 2 == 0 else F(1_055_728_090_001, 10**12)
+        1 if n % 2 == 0 else _TEN_MINUS_4_ROOT_5
     ),
     (MechanismId.OPT_SUM_BASELINE, Variant.SUM): lambda n, k: 1,
 }
@@ -113,7 +123,8 @@ def test_declared_bound_matches_readme_column(mech, variant):
         for k in range(2, min(n, 5) + 1):
             want = ceiling(n, k)
             got = declared_bound(mech, variant, n, k)
-            assert got == want and (want is None or isinstance(got, F)), (n, k)
+            exact = isinstance(got, (F, Surd))
+            assert got == want and (want is None or exact), (n, k)
 
 
 @pytest.mark.parametrize("mech", list(MechanismId), ids=lambda m: m.value)
@@ -134,39 +145,100 @@ def test_unknown_spelling_raises_input_error():
         is_strategyproof("nope", Variant.SUM)
 
 
-class TestRpBoundConstant:
-    def test_strictly_exceeds_the_irrational_constant(self):
-        # RP_BOUND > 10 - 4*sqrt(5)  <=>  (10 - RP_BOUND)^2 < 80,
-        # checked without ever leaving rational arithmetic.
-        assert 0 < 10 - RP_BOUND
-        assert (10 - RP_BOUND) ** 2 < 80
-
-    def test_tight_to_eleven_decimal_places(self):
-        slack = F(1, 10**11)
-        assert (10 - RP_BOUND + slack) ** 2 > 80
-
-    def test_matches_twelve_digit_decimal(self):
-        assert RP_BOUND == F(1_055_728_090_001, 10**12)
+# 10 - 4*sqrt(5) = 1.05572809000084121436...; rationals within 10^-12 of it.
+_NEAR_CEILING = st.integers(-(10**8), 10**8).map(
+    lambda i: F(105_572_809_000_084_121_436, 10**20) + F(i, 10**20)
+)
 
 
-class TestExceedsBound:
-    # 10 - 4*sqrt(5) = 1.05572809000084...; this ratio lies between it and
-    # RP_BOUND, so comparing against RP_BOUND would let it pass.
-    BETWEEN = F(10_557_280_900_009, 10**13)
+class TestExactCeiling:
+    @given(st.one_of(st.integers(-30, 30), st.fractions(-30, 30), _NEAR_CEILING))
+    def test_every_operator_in_both_orders(self, r):
+        # r <= 10 - 4*sqrt(5)  <=>  r <= 10 and (10 - r)^2 >= 80, and no
+        # rational equals the irrational ceiling.
+        below = r <= 10 and (10 - r) ** 2 >= 80
+        assert (r < RP_BOUND) is (r <= RP_BOUND) is below
+        assert (RP_BOUND > r) is (RP_BOUND >= r) is below
+        assert (r > RP_BOUND) is (r >= RP_BOUND) is (not below)
+        assert (RP_BOUND < r) is (RP_BOUND <= r) is (not below)
+        assert (r == RP_BOUND) is (RP_BOUND == r) is False
+        assert (r != RP_BOUND) is (RP_BOUND != r) is True
 
-    def test_reverse_proportional_ceiling_is_decided_exactly(self):
-        assert self.BETWEEN < RP_BOUND and (10 - self.BETWEEN) ** 2 < 80
-        assert exceeds_bound(self.BETWEEN, RP_BOUND)
-        assert exceeds_bound(RP_BOUND, RP_BOUND)
-        assert not exceeds_bound(F(10557, 10000), RP_BOUND)
-        assert not exceeds_bound(F(1), RP_BOUND)
-        assert exceeds_bound(F(19), RP_BOUND)  # (10 - 19)^2 >= 80, but 19 > 10
+    def test_ratios_near_the_reverse_proportional_ceiling(self):
+        # Between the ceiling and its former 12-digit rational stand-in.
+        assert F(10_557_280_900_009, 10**13) > RP_BOUND
+        assert F(1_055_728_090_001, 10**12) > RP_BOUND
+        assert F(10557, 10000) <= RP_BOUND and 1 <= RP_BOUND
+        assert 19 > RP_BOUND  # (10 - 19)^2 >= 80, but 19 > 10
 
-    def test_other_ceilings_are_exact(self):
-        assert not exceeds_bound(F(3, 2), F(3, 2))
-        assert exceeds_bound(F(3, 2) + F(1, 10**30), F(3, 2))
-        assert not exceeds_bound(self.BETWEEN, self.BETWEEN)
+    def test_benchmark_gate_comparison_is_exact(self):
+        # The benchmark's correctness gate tests `out.ratio > bound`.
+        rp = declared_bound(MechanismId.REVERSE_PROPORTIONAL, Variant.SUM, 3, 2)
+        assert F(10_557_280_900_009, 10**13) > rp
+        assert not F(10557, 10000) > rp
+
+    def test_rational_ceilings_compare_plainly(self):
+        bound = declared_bound(MechanismId.MEDIAN_RIGHT, Variant.SUM, 3, 2)
+        assert not F(3, 2) > bound
+        assert F(3, 2) + F(1, 10**30) > bound
+
+    def test_text(self):
+        assert str(RP_BOUND) == "10 - 4*sqrt(5)"
+        assert str(Surd(F(1, 2), F(3), 2)) == "1/2 + 3*sqrt(2)"
+
+    def test_floats_and_surds_do_not_compare(self):
+        with pytest.raises(TypeError):
+            RP_BOUND < 1.5
+        with pytest.raises(TypeError):
+            RP_BOUND < Surd(F(1), F(1), 2)
 
 
-if __name__ == "__main__":
-    pytest.main([__file__, "-v"])
+def _decimal(q):
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+_small = st.fractions(-50, 50, max_denominator=1000)
+
+
+@given(
+    _small,
+    _small.filter(lambda b: b != 0),
+    st.integers(2, 200).filter(lambda c: math.isqrt(c) ** 2 != c),
+    st.one_of(_small, st.integers(-(10**9), 10**9)),
+    st.booleans(),
+)
+def test_random_surds_match_a_decimal_oracle(a, b, c, r, near):
+    surd = Surd(a, b, c)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        value = _decimal(a) + _decimal(b) * Decimal(c).sqrt()
+        if near:  # a rational within about 10^-30 of the surd
+            r = F(value.quantize(Decimal(1).scaleb(-30))) + F(r) / 10**40
+        diff = value - _decimal(F(r))
+        assume(abs(diff) > Decimal(10) ** -45)
+    above = diff > 0  # surd > r
+    assert (surd > r) is (r < surd) is (surd >= r) is (r <= surd) is above
+    assert (surd < r) is (r > surd) is (surd <= r) is (r >= surd) is (not above)
+
+
+def test_a_fresh_import_releases_the_previous_one():
+    # typing caches every Union it builds, so one that held Surd would keep
+    # each earlier import of flp alive; the benchmark re-imports flp per pass.
+    script = (
+        "import gc, importlib, sys\n"
+        "for _ in range(4):\n"
+        "    for name in [m for m in sys.modules if m.split('.')[0] == 'flp']:\n"
+        "        del sys.modules[name]\n"
+        "    importlib.import_module('flp')\n"
+        "gc.collect()\n"
+        "print(sum(getattr(o, '__qualname__', '') == 'declared_bound'"
+        " for o in gc.get_objects()))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(flp.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"

@@ -493,7 +493,8 @@ class TestRatioSweep:
         "ratio,code",
         [
             (F(10557, 10000), ExitCode.OK),
-            # Below RP_BOUND, but above the true ceiling 10 - 4*sqrt(5).
+            # Above the ceiling 10 - 4*sqrt(5), below its former 12-digit
+            # rational stand-in 1055728090001/10**12.
             (F(10_557_280_900_009, 10**13), ExitCode.BOUND_EXCEEDED),
         ],
     )
@@ -506,7 +507,7 @@ class TestRatioSweep:
         monkeypatch.setattr(cli, "approx_ratio", report)
         got, _, err = self.run_sweep(tmp_path, capsys, mech="reverse-proportional")
         assert got == code
-        assert ("(> declared 1055728090001/1000000000000)" in err) == (
+        assert ("(> declared 10 - 4*sqrt(5)) on locations" in err) == (
             code == ExitCode.BOUND_EXCEEDED
         )
 
@@ -826,6 +827,9 @@ class TestReadmeExamples:
         # The lines the README prints in full.
         for line in [
             "PASS sum-det-3/2: median-right k=2 sum ratio on (0, 0, 1): 3/2 (want 3/2)",
+            "PASS sum-rand-1.0557: reverse-proportional k=2 sum ratio on "
+            "(0, 2361/10000, 1): 118035679/111805000 ~ 1.0557280891 "
+            "(want within [10557/10000, 10 - 4*sqrt(5)])",
             "PASS max-det-3: median-right k=2 max ratio on (0, 0, 1): 3 (want 3)",
             "PASS max-rand-2: uniform k=2 max ratio on (0, 0, 1): 2 (want 2)",
             "PASS max-k-lower: median-ball k=3 max ratio on (0, 1, 1, 1): 4 (want 4)",

@@ -48,7 +48,6 @@ from flp import (
     worst_ratio_search,
 )
 import flp.verification as verification
-from flp.bounds import exceeds_bound
 from flp.mechanisms import fixed_outcomes, position_rule
 from flp.verification import (
     _certify_violation,
@@ -517,7 +516,7 @@ class TestWorstRatioSearch:
             perturb_rounds=12,
         )
         assert F(10556, 10000) <= report.ratio
-        assert not exceeds_bound(report.ratio, RP_BOUND)
+        assert report.ratio <= RP_BOUND
 
     def test_two_medians_is_optimal_for_even_sum(self):
         report = worst_ratio_search(
@@ -591,9 +590,10 @@ class TestRegressions:
         "ratio,passed",
         [
             (F(10557, 10000), True),
-            # Below RP_BOUND, but above the true ceiling 10 - 4*sqrt(5).
+            # Above the ceiling 10 - 4*sqrt(5), below its former 12-digit
+            # rational stand-in.
             (F(10_557_280_900_009, 10**13), False),
-            (RP_BOUND, False),
+            (F(1_055_728_090_001, 10**12), False),
         ],
     )
     def test_ratio_checker_decides_the_rp_ceiling_exactly(
@@ -606,8 +606,10 @@ class TestRegressions:
         name, mech, inst, lo, hi = next(
             row for row in verification._RATIO_FIXTURES if row[0] == "sum-rand-1.0557"
         )
-        assert hi == RP_BOUND
-        assert _check_ratio(name, mech, inst, lo, hi).passed is passed
+        assert hi is RP_BOUND
+        result = _check_ratio(name, mech, inst, lo, hi)
+        assert result.passed is passed
+        assert result.details.endswith("(want within [10557/10000, 10 - 4*sqrt(5)])")
 
 
 if __name__ == "__main__":
