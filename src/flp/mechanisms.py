@@ -53,6 +53,16 @@ def _windows(n: int, k: int, offsets: Sequence[int]) -> RuleOutput:
     return len(offsets), tuple((tuple(range(s, s + k)), 1) for s in starts)
 
 
+Spreads = tuple[tuple[tuple[int, ...], int, int], ...]
+"""Outcomes weighted by the reports, as (positions, hi, lo) triples: each
+weighs the gap xs[hi] - xs[lo] >= 0 between two sorted reports."""
+
+
+def _median_spreads(n: int) -> Spreads:
+    m = (n - 1) // 2
+    return (((m - 1, m), m + 1, m), ((m, m + 1), m, m - 1))
+
+
 def _reverse_proportional(xs: Sequence[Coord], k: int) -> RuleOutput:
     """Randomise between the two median-adjacent pairs with probabilities
     inversely proportional to their gap from the median.
@@ -63,12 +73,11 @@ def _reverse_proportional(xs: Sequence[Coord], k: int) -> RuleOutput:
     likely partner.  If l and r coincide with m, both pairs cost the same
     and the split is 1/2 each (odd n).
     """
-    m = (len(xs) - 1) // 2
-    gap_l = xs[m] - xs[m - 1]
-    gap_r = xs[m + 1] - xs[m]
-    if gap_l + gap_r == 0:
+    (left, hi_l, lo_l), (right, hi_r, lo_r) = _median_spreads(len(xs))
+    w_l, w_r = xs[hi_l] - xs[lo_l], xs[hi_r] - xs[lo_r]
+    if w_l + w_r == 0:
         return _windows(len(xs), k, (-1, 0))
-    return gap_l + gap_r, (((m - 1, m), gap_r), ((m, m + 1), gap_l))
+    return w_l + w_r, ((left, w_l), (right, w_r))
 
 
 def _opt_sum_baseline(xs: Sequence[Coord], k: int) -> RuleOutput:
@@ -146,6 +155,15 @@ def fixed_outcomes(
     :func:`position_rule` does."""
     rule = _shape_rule(mech, n, k, variant)
     return None if callable(rule) else rule
+
+
+def weight_spreads(
+    mech: MechanismId | str, n: int, k: int, variant: Variant
+) -> Spreads | None:
+    """The :data:`Spreads` of ``mech``'s weights on this shape (reverse-
+    proportional, auto-sum at odd n), or None; raises as ``position_rule``."""
+    rule = _shape_rule(mech, n, k, variant)
+    return _median_spreads(n) if rule is _reverse_proportional else None
 
 
 def position_rule(mech: MechanismId | str, n: int, k: int, variant: Variant) -> Rule:

@@ -21,10 +21,12 @@ from .mechanisms import (
     MechanismId,
     Outcomes,
     Rule,
+    Spreads,
     apply,
     as_mechanism_id,
     fixed_outcomes,
     position_rule,
+    weight_spreads,
 )
 from .model import (
     Coord,
@@ -212,8 +214,9 @@ def _first_profit_by_rule(
     honest_den: int,
 ) -> int | None:
     """As :func:`_first_profit_fixed`, for a rule whose outcomes read the
-    reports: ``rule`` runs on each misreport, and each outcome's floor is
-    priced once per gap; costs are compared as cross-multiplied integers."""
+    reports in no structured way (the optimal-cost baseline): ``rule`` runs
+    on each misreport, and each outcome's floor is priced once per gap;
+    costs are compared as cross-multiplied integers."""
     is_sum = variant is Variant.SUM
     floors: dict[tuple[int, ...], tuple[int, bool]] = {}
     for i, x in enumerate(block):
@@ -234,6 +237,68 @@ def _first_profit_by_rule(
     return None
 
 
+def _first_profit_spread(
+    point: int, xs: list[int], gap: int, block: list[int], spreads: Spreads,
+    rule: Rule, k: int, variant: Variant, honest_cost: int, honest_den: int,
+) -> int | None:
+    """As :func:`_first_profit_by_rule`, for weights that are the gaps
+    ``spreads``, with at most one rule call per gap.
+
+    A gap whose slot no spread holds costs the same for every misreport.
+    Elsewhere the weights are affine in the misreport x, and the outcomes'
+    costs too between the cuts x = point and, under max, point ± floor.  So
+    D(x) = Σ weight·(cost·honest_den - honest_cost), negative on a profit,
+    is an integer quadratic on each piece: split where it turns, a falling
+    part's profits are a suffix (one bisection), a rising part's a prefix.
+    The weights, never negative, can only all vanish on ``block[0]``; the
+    rule prices that misreport with its equal-weight fallback."""
+
+    def priced(x: int) -> bool:  # through the rule, with x in the slot
+        xs[gap] = x
+        den, outs = rule(xs, k)
+        return _weighted_cost(point, xs, outs, variant) * honest_den < honest_cost * den
+
+    if all(gap not in (*positions, hi, lo) for positions, hi, lo in spreads):
+        return 0 if priced(block[0]) else None
+    is_sum = variant is Variant.SUM
+    terms = []  # (a, b, floor, opens): the weight a·x + b and the outcome's floor
+    cuts = {point}
+    for positions, hi, lo in spreads:
+        a = (hi == gap) - (lo == gap)
+        floor, opens = _floor(point, xs, gap, positions, variant)
+        terms.append((a, xs[hi] - xs[lo] - a * xs[gap], floor, opens))
+        if opens and not is_sum:
+            cuts.update((point - floor, point + floor))
+    first = int(sum(a * block[0] + b for a, b, _, _ in terms) == 0)
+    if first and priced(block[0]):
+        return 0
+    bounds = sorted({first, len(block), *(bisect_left(block, c, first) for c in cuts)})
+    for lo_i, hi_i in zip(bounds, bounds[1:]):
+        alpha = beta = gamma = 0  # D(x) = (alpha·x + beta)·x + gamma here
+        for a, b, floor, opens in terms:
+            ca, cb = 0, floor  # the outcome's cost ca·x + cb from block[lo_i] on
+            if opens and (is_sum or not point - floor <= block[lo_i] < point + floor):
+                ca = -1 if block[lo_i] < point else 1
+                cb = (floor if is_sum else 0) - ca * point
+            ca, cb = ca * honest_den, cb * honest_den - honest_cost
+            alpha += a * ca
+            beta += a * cb + b * ca
+            gamma += b * cb
+
+        def profits(x: int) -> bool:
+            return (alpha * x + beta) * x + gamma < 0
+
+        split = bisect_right(block, -beta // (2 * alpha), lo_i, hi_i) if alpha else hi_i
+        falls = alpha > 0 or (alpha == 0 and beta <= 0)
+        for lo_p, hi_p, falling in ((lo_i, split, falls), (split, hi_i, alpha < 0)):
+            if not falling:  # rising: only its first misreport can profit
+                hi_p = min(hi_p, lo_p + 1)
+            hit = bisect_left(block, True, lo_p, hi_p, key=profits)
+            if hit < hi_p:
+                return hit
+    return None
+
+
 def sp_scan(mech: MechanismId, inst: Instance, grid_points: int = 200) -> SpScan:
     """Scan every (agent, candidate misreport) pair for a profitable deviation.
 
@@ -251,12 +316,13 @@ def sp_scan(mech: MechanismId, inst: Instance, grid_points: int = 200) -> SpScan
     reports: all candidates in one gap take the same sorted position, so
     the deviated profile is built once per gap with one open slot, and each
     outcome's cost toward the other hosts is priced once per gap (see
-    :func:`_floor`).  When the shape fixes the outcomes, a misreport's cost
-    only grows with its distance from the true location, so each gap is
-    decided by two bisections (:func:`_first_profit_fixed`) instead of
-    pricing every candidate; ``evaluated`` still counts the candidates up
-    to the first profitable one, as a linear walk would.  Any hit is
-    re-verified at original scale through the validated
+    :func:`_floor`).  A gap is then decided by bisections, as a misreport's
+    cost only grows with its distance from the true location under fixed
+    outcomes (:func:`_first_profit_fixed`) and is piecewise quadratic under
+    weights that are gaps between reports (:func:`_first_profit_spread`);
+    only the baseline runs its rule on every candidate.  ``evaluated``
+    counts the candidates up to the first profitable one, as a linear walk
+    would.  Any hit is re-verified at original scale through the validated
     :func:`~flp.mechanisms.apply` path before it is reported, so a returned
     violation is always genuine.
     """
@@ -264,6 +330,7 @@ def sp_scan(mech: MechanismId, inst: Instance, grid_points: int = 200) -> SpScan
     scale, locs, cands = _scaled_candidates(inst, grid_points)
     rule = position_rule(mech, inst.n, k, variant)
     fixed = fixed_outcomes(mech, inst.n, k, variant)
+    spreads = weight_spreads(mech, inst.n, k, variant)
     superset = sorted(cands.union(locs))
     honest_xs = sorted(locs)
     honest_den, honest = rule(honest_xs, k)
@@ -285,13 +352,18 @@ def sp_scan(mech: MechanismId, inst: Instance, grid_points: int = 200) -> SpScan
             if not block:
                 continue
             xs = others[:gap] + [true_here] + others[gap:]
-            if fixed is None:
-                hit = _first_profit_by_rule(
-                    true_here, xs, gap, block, rule, k, variant, honest_cost, honest_den
-                )
-            else:
+            if fixed is not None:
                 hit = _first_profit_fixed(
                     true_here, xs, gap, block, fixed[1], variant, honest_cost
+                )
+            elif spreads is not None:
+                hit = _first_profit_spread(
+                    true_here, xs, gap, block, spreads, rule, k, variant,
+                    honest_cost, honest_den,
+                )
+            else:
+                hit = _first_profit_by_rule(
+                    true_here, xs, gap, block, rule, k, variant, honest_cost, honest_den
                 )
             if hit is None:
                 evaluated += len(block)

@@ -414,6 +414,82 @@ class TestVerifySp:
         )
         assert code == ExitCode.PRECONDITION
 
+    # Records of 6 trials at the default grid: (variant, n, family, seed,
+    # exit code, instances checked, deviations evaluated, violation as
+    # (seed index, agent, true location, misreport, honest and deviated
+    # cost)).  auto-sum runs reverse-proportional at odd n, so both share
+    # them; a scan that decides a different number of candidates fails here.
+    PINNED_RP_RECORDS = [
+        ("sum", 3, "uniform-int", 0, 0, 6, 3660, None),
+        ("sum", 3, "uniform-int", 1, 0, 6, 3672, None),
+        ("sum", 3, "coincident", 0, 0, 6, 3618, None),
+        ("sum", 3, "coincident", 1, 0, 6, 3636, None),
+        ("sum", 5, "uniform-int", 0, 0, 6, 6190, None),
+        ("sum", 5, "uniform-int", 1, 0, 6, 6200, None),
+        ("sum", 5, "coincident", 0, 0, 6, 6060, None),
+        ("sum", 5, "coincident", 1, 0, 6, 6100, None),
+        ("sum", 9, "uniform-int", 0, 0, 6, 11448, None),
+        ("sum", 9, "uniform-int", 1, 0, 6, 11466, None),
+        ("sum", 9, "coincident", 0, 0, 6, 11034, None),
+        ("sum", 9, "coincident", 1, 0, 6, 11124, None),
+        ("max", 3, "uniform-int", 0, 4, 1, 68,
+         (0, 0, "3", "609/199", "11/6", "2117/1182")),
+        ("max", 3, "uniform-int", 1, 4, 1, 68,
+         (0, 0, "1", "215/199", "7/2", "1361/394")),
+        ("max", 3, "coincident", 0, 0, 6, 3618, None),
+        ("max", 3, "coincident", 1, 0, 6, 3636, None),
+        ("max", 5, "uniform-int", 0, 4, 3, 2141,
+         (2, 0, "9", "288/199", "63/8", "308887/39601")),
+        ("max", 5, "uniform-int", 1, 4, 1, 85,
+         (0, 0, "1", "622/199", "13/2", "7561/1169")),
+        ("max", 5, "coincident", 0, 0, 6, 6060, None),
+        ("max", 5, "coincident", 1, 0, 6, 6100, None),
+        ("max", 9, "uniform-int", 0, 4, 1, 98,
+         (0, 0, "3", "800/199", "5/2", "983/394")),
+        ("max", 9, "uniform-int", 1, 4, 1, 103,
+         (0, 0, "1", "1000/199", "17/3", "837/148")),
+        ("max", 9, "coincident", 0, 0, 6, 11034, None),
+        ("max", 9, "coincident", 1, 0, 6, 11124, None),
+    ]
+
+    @pytest.mark.parametrize("mech", ["reverse-proportional", "auto-sum"])
+    @pytest.mark.parametrize(
+        "variant,n,family,seed,exit_code,checked,evaluated,violation",
+        PINNED_RP_RECORDS,
+        ids=[f"{v}-n{n}-{family}-seed{seed}" for v, n, family, seed, *_ in PINNED_RP_RECORDS],
+    )
+    def test_reverse_proportional_records_are_pinned(
+        self, capsys, mech, variant, n, family, seed, exit_code, checked, evaluated,
+        violation,
+    ):
+        code, out, _ = run_cli(
+            [
+                "verify-sp",
+                *("--mech", mech, "--variant", variant, "--n", str(n)),
+                *("--family", family, "--seed", str(seed), "--trials", "6"),
+            ],
+            capsys,
+        )
+        record = json.loads(out)
+        v = record["violation"]
+        got_violation = v and tuple(
+            v[key]
+            for key in (
+                "seed_index",
+                "agent",
+                "true_location",
+                "misreport",
+                "honest_cost",
+                "deviated_cost",
+            )
+        )
+        assert (
+            code,
+            record["instances_checked"],
+            record["deviations_evaluated"],
+            got_violation,
+        ) == (exit_code, checked, evaluated, violation)
+
 
 class TestRatioSweep:
     def run_sweep(self, tmp_path, capsys, name="sweep.csv", seed="0", mech="median-right"):

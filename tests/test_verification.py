@@ -48,12 +48,13 @@ from flp import (
     worst_ratio_search,
 )
 import flp.verification as verification
-from flp.mechanisms import fixed_outcomes, position_rule
+from flp.mechanisms import fixed_outcomes, position_rule, weight_spreads
 from flp.verification import (
     _certify_violation,
     _check_ratio,
     _first_profit_by_rule,
     _first_profit_fixed,
+    _first_profit_spread,
     _scaled_candidates,
     _weighted_cost,
 )
@@ -245,15 +246,21 @@ class TestScannerMatchesReference:
         (MechanismId.UNIFORM, Variant.MAX, 3, 2),
         (MechanismId.UNIFORM, Variant.MAX, 5, 2),
         (MechanismId.REVERSE_PROPORTIONAL, Variant.SUM, 3, 2),
+        (MechanismId.REVERSE_PROPORTIONAL, Variant.SUM, 5, 2),
+        (MechanismId.REVERSE_PROPORTIONAL, Variant.SUM, 7, 2),
+        (MechanismId.REVERSE_PROPORTIONAL, Variant.MAX, 3, 2),
         (MechanismId.REVERSE_PROPORTIONAL, Variant.MAX, 5, 2),
+        (MechanismId.REVERSE_PROPORTIONAL, Variant.MAX, 7, 2),
         (MechanismId.MEDIAN_BALL, Variant.SUM, 5, 3),
         (MechanismId.MEDIAN_BALL, Variant.SUM, 7, 5),
         (MechanismId.MEDIAN_BALL, Variant.MAX, 5, 3),
         (MechanismId.MEDIAN_BALL, Variant.MAX, 6, 4),
         (MechanismId.MEDIAN_BALL, Variant.MAX, 7, 5),
         (MechanismId.AUTO_SUM, Variant.SUM, 3, 2),
+        (MechanismId.AUTO_SUM, Variant.SUM, 5, 2),
         (MechanismId.AUTO_SUM, Variant.SUM, 6, 2),
         (MechanismId.AUTO_SUM, Variant.MAX, 4, 2),
+        (MechanismId.AUTO_SUM, Variant.MAX, 5, 2),
         (MechanismId.OPT_SUM_BASELINE, Variant.SUM, 3, 2),
         (MechanismId.OPT_SUM_BASELINE, Variant.SUM, 4, 2),
         (MechanismId.OPT_SUM_BASELINE, Variant.SUM, 5, 3),
@@ -291,15 +298,21 @@ def test_gap_pricing_matches_the_filled_profile(variant):
     # candidate's cost in turn.  The blocks lie left of the point, right of
     # it, and around it in its own gap (without the point, as in sp_scan),
     # so a bisection that misreads either side's order fails here.  The slot
-    # holds a far-off value, which the pricing must not read.
+    # holds a far-off value, which the pricing must not read.  Every integer
+    # in -10..30 is a candidate, and the other reports often tie: so a
+    # reverse-proportional gap's profitable misreports can lie strictly
+    # inside one convex piece, the point ± floor cuts fall inside blocks,
+    # and the other median reports coincide, which gives slot m+1's first
+    # misreport a zero denominator.
     rng = random.Random(variant.value)
     for _ in range(150):
         n = rng.randint(2, 7)
         k = rng.randint(2, min(n, 4))
-        others = sorted(rng.randint(0, 6) for _ in range(n - 1))
-        point = rng.randint(-1, 7)
+        pool = rng.sample(range(21), rng.randint(1, 4))
+        others = sorted(rng.choice(pool) for _ in range(n - 1))
+        point = rng.randint(-5, 25)
         blocks = [[] for _ in range(n)]
-        for x in range(-2, 9):
+        for x in range(-10, 31):
             if x != point:
                 blocks[bisect_right(others, x)].append(x)
         for mech in MechanismId:
@@ -308,6 +321,7 @@ def test_gap_pricing_matches_the_filled_profile(variant):
             except FlpError:
                 continue
             fixed = fixed_outcomes(mech, n, k, variant)
+            spreads = weight_spreads(mech, n, k, variant)
             for gap, block in enumerate(blocks):
                 priced = []
                 for x in block:
@@ -322,13 +336,18 @@ def test_gap_pricing_matches_the_filled_profile(variant):
                     want = next(
                         (i for i, c in enumerate(costs) if c < honest_cost), None
                     )
-                    if fixed is None:
-                        got = _first_profit_by_rule(
-                            point, xs, gap, block, rule, k, variant, honest_cost, den
-                        )
-                    else:
+                    if fixed is not None:
                         got = _first_profit_fixed(
                             point, xs, gap, block, fixed[1], variant, honest_cost
+                        )
+                    elif spreads is not None:
+                        got = _first_profit_spread(
+                            point, xs, gap, block, spreads, rule, k, variant,
+                            honest_cost, den,
+                        )
+                    else:
+                        got = _first_profit_by_rule(
+                            point, xs, gap, block, rule, k, variant, honest_cost, den
                         )
                     assert got == want, (mech, n, k, others, point, block, honest_cost)
 
