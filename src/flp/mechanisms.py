@@ -160,8 +160,8 @@ def fixed_outcomes(
 def weight_spreads(
     mech: MechanismId | str, n: int, k: int, variant: Variant
 ) -> Spreads | None:
-    """The :data:`Spreads` of ``mech``'s weights on this shape (reverse-
-    proportional, auto-sum at odd n), or None; raises as ``position_rule``."""
+    """``mech``'s :data:`Spreads` on this shape (reverse-proportional and
+    auto-sum at odd n), or None; raises as :func:`position_rule` does."""
     rule = _shape_rule(mech, n, k, variant)
     return _median_spreads(n) if rule is _reverse_proportional else None
 

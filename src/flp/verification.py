@@ -276,7 +276,7 @@ def _first_profit_spread(
     for lo_i, hi_i in zip(bounds, bounds[1:]):
         alpha = beta = gamma = 0  # D(x) = (alpha·x + beta)·x + gamma here
         for a, b, floor, opens in terms:
-            ca, cb = 0, floor  # the outcome's cost ca·x + cb from block[lo_i] on
+            ca, cb = 0, floor  # the outcome's cost ca·x + cb on this piece
             if opens and (is_sum or not point - floor <= block[lo_i] < point + floor):
                 ca = -1 if block[lo_i] < point else 1
                 cb = (floor if is_sum else 0) - ca * point

@@ -456,7 +456,9 @@ class TestVerifySp:
     @pytest.mark.parametrize(
         "variant,n,family,seed,exit_code,checked,evaluated,violation",
         PINNED_RP_RECORDS,
-        ids=[f"{v}-n{n}-{family}-seed{seed}" for v, n, family, seed, *_ in PINNED_RP_RECORDS],
+        ids=[
+            f"{v}-n{n}-{fam}-seed{seed}" for v, n, fam, seed, *_ in PINNED_RP_RECORDS
+        ],
     )
     def test_reverse_proportional_records_are_pinned(
         self, capsys, mech, variant, n, family, seed, exit_code, checked, evaluated,
